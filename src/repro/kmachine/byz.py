@@ -247,7 +247,8 @@ def attribute_blame(
     aggregated suspicions; otherwise — and whenever more than ``f``
     machines are implicated, which no ``f``-liar adversary can cause
     against an honest leader — blame the leader, whose NIC is the only
-    single point that can frame many workers at once.
+    single point that can frame many workers at once.  Weights tied
+    across the ``f``-th place implicate more than ``f`` machines too.
     ``repeat_offender`` adds the leader unconditionally (same leader
     presided over two consecutive failures).
     """
@@ -256,6 +257,10 @@ def attribute_blame(
     if not suspects and weights:
         ranked = sorted(weights, key=lambda r: (-weights[r], r))
         suspects = set(ranked[:cap])
+        if len(ranked) > cap and weights[ranked[cap]] == weights[ranked[cap - 1]]:
+            # a tie across the cap: more than f machines are equally
+            # implicated, so the weights single nobody out
+            suspects = set(ranked)
     if not suspects or len(suspects) > cap:
         suspects = {leader}
     if repeat_offender:

@@ -26,7 +26,6 @@ A minimal echo program::
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
 import numpy as np
@@ -127,8 +126,13 @@ class MachineContext:
         self.sizing = sizing or SizingPolicy()
         #: messages queued for dispatch at the end of the current round
         self._outbox: list[Message] = []
-        #: messages delivered but not yet consumed by :meth:`take`
-        self._pending: deque[Message] = deque()
+        #: messages delivered but not yet consumed by :meth:`take`, per
+        #: tag as ``(arrival_seq, message)`` in arrival order; a tag
+        #: whose messages are all consumed is removed
+        self._inbox: dict[str, list[tuple[int, Message]]] = {}
+        #: arrival sequence number of the next delivered message
+        self._arrivals = 0
+        self._pending_count = 0
         #: scratch area for program results, also returned by the simulator
         self.result: Any = None
         #: count of messages this machine has sent (for metric assertions)
@@ -184,7 +188,17 @@ class MachineContext:
     # ------------------------------------------------------------------
     def deliver(self, messages: Iterable[Message]) -> None:
         """(Simulator hook) append newly arrived messages to the buffer."""
-        self._pending.extend(messages)
+        inbox = self._inbox
+        seq = self._arrivals
+        for msg in messages:
+            box = inbox.get(msg.tag)
+            if box is None:
+                inbox[msg.tag] = [(seq, msg)]
+            else:
+                box.append((seq, msg))
+            seq += 1
+        self._pending_count += seq - self._arrivals
+        self._arrivals = seq
 
     def notice_crash(self, rank: int) -> None:
         """(Simulator hook) record that peer ``rank`` crashed.
@@ -200,20 +214,53 @@ class MachineContext:
 
         ``None`` matches anything.  Non-matching messages stay buffered
         so concurrent sub-protocols cannot steal each other's traffic.
+        Matches come back in arrival order; a tagged take touches only
+        that tag's messages.
         """
-        matched: list[Message] = []
-        kept: deque[Message] = deque()
-        for msg in self._pending:
-            if (tag is None or msg.tag == tag) and (src is None or msg.src == src):
-                matched.append(msg)
+        if tag is None:
+            matched = [msg for _, msg in self._merged() if src is None or msg.src == src]
+            if src is None:
+                self._inbox.clear()
             else:
-                kept.append(msg)
-        self._pending = kept
+                for t in list(self._inbox):
+                    self._keep(t, src)
+            self._pending_count -= len(matched)
+            return matched
+        box = self._inbox.get(tag)
+        if box is None:
+            return []
+        if src is None:
+            del self._inbox[tag]
+            matched = [msg for _, msg in box]
+        else:
+            matched = [msg for _, msg in box if msg.src == src]
+            if matched:
+                self._keep(tag, src)
+        self._pending_count -= len(matched)
         return matched
+
+    def _keep(self, tag: str, src: int) -> None:
+        """Drop ``src``'s messages from ``tag``'s buffer."""
+        kept = [entry for entry in self._inbox[tag] if entry[1].src != src]
+        if kept:
+            self._inbox[tag] = kept
+        else:
+            del self._inbox[tag]
+
+    def _merged(self) -> list[tuple[int, Message]]:
+        """Every buffered ``(arrival_seq, message)``, in arrival order."""
+        return sorted(entry for box in self._inbox.values() for entry in box)
 
     def peek_pending(self) -> tuple[Message, ...]:
         """Return (without consuming) all currently buffered messages."""
-        return tuple(self._pending)
+        return tuple(msg for _, msg in self._merged())
+
+    def discard_pending(self) -> int:
+        """Drop every buffered message; returns how many were dropped."""
+        dropped = self._pending_count
+        self._inbox.clear()
+        self._pending_count = 0
+        return dropped
 
     def recv(
         self, tag: str, count: int, src: int | None = None, max_rounds: int | None = None
@@ -235,7 +282,7 @@ class MachineContext:
         so :class:`~repro.kmachine.errors.PeerCrashedError` is raised
         for the supervisor to handle.
         """
-        got: list[Message] = list(self.take(tag, src))
+        got = self.take(tag, src)
         waited = 0
         while len(got) < count:
             if self.crashed_peers and (src is None or src in self.crashed_peers):
@@ -275,7 +322,7 @@ class MachineContext:
 
     def pending_count(self) -> int:
         """Number of delivered-but-unconsumed messages (test helper)."""
-        return len(self._pending)
+        return self._pending_count
 
 
 class Program:

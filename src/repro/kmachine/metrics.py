@@ -66,6 +66,13 @@ class Metrics:
         the simulator runs with ``profile=True`` (the cost-model
         profiler's traffic matrix; see :mod:`repro.obs.profile`).
         Empty dicts otherwise, so the disabled path costs nothing.
+    max_link_queue_bits:
+        High-water mark of the bits queued on the *whole network* after
+        a round's drain: the maximum over rounds of
+        :meth:`~repro.kmachine.network.Network.queued_bits`, summed over
+        every link.  Despite the name it is not the busiest single link;
+        that is :attr:`~repro.kmachine.network.LinkStats.max_queue_bits`
+        per link.
     compute_seconds:
         Modelled parallel compute time: the sum over rounds of the
         *maximum* per-machine local computation time in that round

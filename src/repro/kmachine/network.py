@@ -25,8 +25,8 @@ Three bandwidth policies are supported:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Literal
 
 from .errors import BandwidthExceededError
 from .message import Message
@@ -56,14 +56,22 @@ class LinkStats:
     dropped: int = 0
 
 
-@dataclass
-class _QueuedMessage:
-    message: Message
-    remaining_bits: int = field(default=0)
+class _Link:
+    """One directed link: its FIFO plus running counters.
 
-    def __post_init__(self) -> None:
-        if self.remaining_bits == 0:
-            self.remaining_bits = self.message.bits
+    ``bits`` is the remaining (untransmitted) bits over the whole
+    queue and ``head_sent`` the bits of the head message already
+    transmitted, so enqueue, drain and purge keep them exact in O(1)
+    per message instead of re-summing the queue.
+    """
+
+    __slots__ = ("queue", "bits", "head_sent", "stats")
+
+    def __init__(self, stats: LinkStats) -> None:
+        self.queue: deque[Message] = deque()
+        self.bits = 0
+        self.head_sent = 0
+        self.stats = stats
 
 
 class Network:
@@ -102,7 +110,12 @@ class Network:
         #: optional fault engine consulted on every submission (set by
         #: the simulator when a FaultPlan is active, or directly in tests)
         self.fault_injector: FaultInjector | None = None
-        self._queues: dict[tuple[int, int], deque[_QueuedMessage]] = {}
+        self._links: dict[tuple[int, int], _Link] = {}
+        #: links with a non-empty queue (the only ones :meth:`step` visits)
+        self._busy: set[tuple[int, int]] = set()
+        #: running totals over all links, kept exact by every mutation
+        self._queued_bits = 0
+        self._in_flight = 0
         self._submitted_this_round: dict[tuple[int, int], int] = {}
         self.link_stats: dict[tuple[int, int], LinkStats] = {}
         self.total_messages = 0
@@ -157,25 +170,35 @@ class Network:
 
     def _enqueue(self, msg: Message) -> None:
         key = (msg.src, msg.dst)
-        queue = self._queues.setdefault(key, deque())
-        queue.append(_QueuedMessage(msg))
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = _Link(
+                self.link_stats.setdefault(key, LinkStats())
+            )
+        queue = link.queue
+        queue.append(msg)
         if (
             self.fault_injector is not None
             and len(queue) >= 2
             # never displace a partially-transmitted head
-            and not (len(queue) == 2 and queue[0].remaining_bits != queue[0].message.bits)
+            and not (len(queue) == 2 and link.head_sent)
             and self.fault_injector.wants_reorder(msg.src, msg.dst)
         ):
             queue[-1], queue[-2] = queue[-2], queue[-1]
-        stats = self.link_stats.setdefault(key, LinkStats())
+        bits = msg.bits
+        link.bits += bits
+        self._queued_bits += bits
+        self._in_flight += 1
+        self._busy.add(key)
+        stats = link.stats
         stats.messages += 1
-        stats.bits += msg.bits
-        stats.max_queue_messages = max(stats.max_queue_messages, len(queue))
-        stats.max_queue_bits = max(
-            stats.max_queue_bits, sum(q.remaining_bits for q in queue)
-        )
+        stats.bits += bits
+        if len(queue) > stats.max_queue_messages:
+            stats.max_queue_messages = len(queue)
+        if link.bits > stats.max_queue_bits:
+            stats.max_queue_bits = link.bits
         self.total_messages += 1
-        self.total_bits += msg.bits
+        self.total_bits += bits
 
     def step(self) -> dict[int, list[Message]]:
         """Advance one round: drain every link and return deliveries.
@@ -191,36 +214,42 @@ class Network:
         top_link: tuple[int, int] | None = None
         max_link_bits = 0
         delivered = 0
-        for key in sorted(self._queues):
-            queue = self._queues[key]
-            if not queue:
-                continue
-            stats = self.link_stats[key]
-            stats.busy_rounds += 1
-            budget = self.bandwidth_bits if self.policy != "unbounded" else None
+        budget_per_link = self.bandwidth_bits if self.policy != "unbounded" else None
+        for key in sorted(self._busy):
+            link = self._links[key]
+            queue = link.queue
+            link.stats.busy_rounds += 1
+            budget = budget_per_link
             link_bits = 0
             while queue:
                 head = queue[0]
+                remaining = head.bits - link.head_sent
                 if budget is None:
-                    take = head.remaining_bits
+                    take = remaining
                 else:
                     if budget <= 0:
                         break
-                    take = min(budget, head.remaining_bits)
+                    take = min(budget, remaining)
                     budget -= take
-                head.remaining_bits -= take
                 link_bits += take
-                if head.remaining_bits == 0:
+                if take == remaining:
                     queue.popleft()
-                    deliveries.setdefault(head.message.dst, []).append(head.message)
+                    link.head_sent = 0
+                    deliveries.setdefault(head.dst, []).append(head)
                     delivered += 1
                 else:
+                    link.head_sent += take
                     break  # head still partially transmitted; link saturated
+            link.bits -= link_bits
+            self._queued_bits -= link_bits
+            if not queue:
+                self._busy.discard(key)
             if link_bits > max_link_bits:
                 max_link_bits = link_bits
                 top_link = key
             if detail and link_bits > 0:
                 link_bits_map[key] = link_bits
+        self._in_flight -= delivered
         self.last_step_max_link_bits = max_link_bits
         self.last_step_delivered = delivered
         max_dst = 0
@@ -240,11 +269,11 @@ class Network:
     # ------------------------------------------------------------------
     def in_flight(self) -> int:
         """Number of messages still queued on some link."""
-        return sum(len(q) for q in self._queues.values())
+        return self._in_flight
 
     def queued_bits(self) -> int:
         """Total remaining bits queued across all links."""
-        return sum(q.remaining_bits for queue in self._queues.values() for q in queue)
+        return self._queued_bits
 
     def busiest_links(self, top: int = 5) -> list[tuple[tuple[int, int], LinkStats]]:
         """The ``top`` links by cumulative bits (debugging/benchmark aid)."""
@@ -259,17 +288,7 @@ class Network:
         Returns the purged messages (concrete list, link order) and
         records them as drops in the affected links' :class:`LinkStats`.
         """
-        purged: list[Message] = []
-        for key in sorted(self._queues):
-            if rank not in key:
-                continue
-            queue = self._queues[key]
-            if not queue:
-                continue
-            purged.extend(q.message for q in queue)
-            self.link_stats.setdefault(key, LinkStats()).dropped += len(queue)
-            queue.clear()
-        return purged
+        return self._discard(key for key in self._busy if rank in key)
 
     def drop_all(self) -> list[Message]:
         """Discard all queued messages (used on abnormal termination).
@@ -278,13 +297,21 @@ class Network:
         each link's :class:`LinkStats`, and resets the strict-policy
         per-round budget so a reused network starts from a clean slate.
         """
-        dropped: list[Message] = []
-        for key in sorted(self._queues):
-            queue = self._queues[key]
-            if not queue:
-                continue
-            dropped.extend(q.message for q in queue)
-            self.link_stats.setdefault(key, LinkStats()).dropped += len(queue)
-            queue.clear()
         self._submitted_this_round.clear()
+        return self._discard(self._busy)
+
+    def _discard(self, keys: Iterable[tuple[int, int]]) -> list[Message]:
+        """Empty the given links' queues in ascending link order."""
+        dropped: list[Message] = []
+        for key in sorted(keys):
+            link = self._links[key]
+            queue = link.queue
+            dropped.extend(queue)
+            link.stats.dropped += len(queue)
+            self._in_flight -= len(queue)
+            self._queued_bits -= link.bits
+            link.bits = 0
+            link.head_sent = 0
+            queue.clear()
+            self._busy.discard(key)
         return dropped

@@ -358,10 +358,7 @@ class Simulator:
                             injector.account_purge(msg, rank)
                         for msg in ctx.drain_outbox():
                             injector.account_purge(msg, rank)
-                        inbox = ctx.pending_count()
-                        if inbox:
-                            metrics.crash_drops += inbox
-                            ctx._pending.clear()
+                        metrics.crash_drops += ctx.discard_pending()
                         metrics.crashed.append((rank, round_idx))
                         self.tracer.record(round_idx, "crash", machine=rank)
                         if self.fault_plan.notify_crashes:

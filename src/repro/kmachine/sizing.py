@@ -61,6 +61,20 @@ class SizingPolicy:
 
 
 def _measure(obj: Any, policy: SizingPolicy) -> int:
+    # Fast path on the exact types protocols send most; ``bool``, NumPy
+    # scalars and subclasses fall through to the isinstance chain below.
+    cls = type(obj)
+    if cls is int or cls is float:
+        return policy.word_bits
+    if cls is tuple or cls is list:
+        total = 0
+        for item in obj:
+            item_cls = type(item)
+            if item_cls is int or item_cls is float:
+                total += policy.word_bits
+            else:
+                total += _measure(item, policy)
+        return total
     if obj is None:
         return 1
     if isinstance(obj, bool) or isinstance(obj, np.bool_):

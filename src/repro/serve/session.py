@@ -878,7 +878,7 @@ class ClusterSession:
         """
         self._sim.network.drop_all()
         for ctx in self._sim.contexts:
-            ctx.take(None)
+            ctx.discard_pending()
 
     def _reelect(self) -> None:
         """Replace a fenced leader via one f-tolerant election episode."""

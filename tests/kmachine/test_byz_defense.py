@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.driver import distributed_knn
 from repro.dyn.balance import trimmed_ratio
 from repro.kmachine import FunctionProgram, Simulator
 from repro.kmachine.byz import (
@@ -35,6 +36,7 @@ from repro.kmachine.byz import (
     suspicions,
 )
 from repro.kmachine.errors import FaultError
+from repro.kmachine.faults import ByzantinePlan, Liar
 from repro.kmachine.schema import Echo, SuspicionNotice
 
 
@@ -119,6 +121,35 @@ def test_attribute_blame_layers() -> None:
     assert attribute_blame(
         mismatch=[2], weights={}, f=2, leader=0, repeat_offender=True
     ) == (0, 2)
+
+
+def test_attribute_blame_tie_across_cap_blames_leader() -> None:
+    # four workers equally accused, f=1: a lying leader framed them all
+    assert attribute_blame(
+        mismatch=[], weights={1: 2, 2: 2, 3: 2, 4: 2}, f=1, leader=0
+    ) == (0,)
+    # a tie inside the cap still names the tied ranks
+    assert attribute_blame(
+        mismatch=[], weights={3: 5, 1: 5, 2: 1}, f=2, leader=0
+    ) == (1, 3)
+
+
+def test_equivocating_leader_excluded_within_attempt_budget() -> None:
+    """An equivocating rank-0 NIC frames every worker equally; recovery
+    must exclude it rather than honest ranks, and answer exactly."""
+    rng = np.random.default_rng(1262)
+    points = rng.uniform(0.0, 1.0, (150, 2))
+    query = rng.uniform(0.0, 1.0, 2)
+    l = int(rng.integers(1, 16))
+    plan = ByzantinePlan(seed=58852, liars=(Liar(rank=0, strategy="equivocate"),))
+    result = distributed_knn(
+        points, query, l, 5, seed=1262, byzantine=plan, byzantine_f=1,
+        timeout_rounds=6,
+    )
+    d = np.sqrt(((points - query) ** 2).sum(axis=1))
+    np.testing.assert_allclose(np.sort(result.distances), np.sort(d)[:l])
+    assert result.recovery.excluded == [0]
+    assert result.recovery.attempts <= 2 * plan.f + 2
 
 
 # -- robust reductions --------------------------------------------------

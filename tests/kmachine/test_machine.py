@@ -8,6 +8,12 @@ import pytest
 from repro.kmachine.errors import AddressError, ProtocolError
 from repro.kmachine.machine import FunctionProgram, MachineContext, Program
 from repro.kmachine.message import Message
+from repro.kmachine.reliable import (
+    RELIABLE_ACK_TAG,
+    Envelope,
+    ReliableMachineContext,
+    payload_checksum,
+)
 
 
 def ctx_pair(k=3):
@@ -135,6 +141,99 @@ class TestReceiving:
         with pytest.raises(StopIteration) as stop:
             next(gen)
         assert stop.value.value.payload == "only"
+
+
+class TestInboxOrder:
+    """The per-tag inbox still hands out messages in global arrival order."""
+
+    ARRIVALS = [(1, "a", 0), (2, "b", 1), (1, "b", 2), (2, "a", 3), (1, "c", 4),
+                (2, "a", 5), (1, "a", 6)]
+
+    def filled(self):
+        ctx = ctx_pair()[0]
+        for src, tag, payload in self.ARRIVALS:
+            incoming(ctx, src, tag, payload)
+        return ctx
+
+    def test_take_none_returns_arrival_order_across_tags(self):
+        assert [m.payload for m in self.filled().take(None)] == list(range(7))
+
+    def test_peek_pending_returns_arrival_order_across_tags(self):
+        ctx = self.filled()
+        assert [m.payload for m in ctx.peek_pending()] == list(range(7))
+        ctx.take("b")
+        assert [m.payload for m in ctx.peek_pending()] == [0, 3, 4, 5, 6]
+
+    def test_take_none_by_src_keeps_other_sources_in_order(self):
+        ctx = self.filled()
+        assert [m.payload for m in ctx.take(None, src=2)] == [1, 3, 5]
+        assert [m.payload for m in ctx.peek_pending()] == [0, 2, 4, 6]
+
+    def test_take_tag_and_src_leaves_other_sources_buffered(self):
+        ctx = self.filled()
+        assert [m.payload for m in ctx.take("a", src=1)] == [0, 6]
+        assert [(m.src, m.payload) for m in ctx.take("a")] == [(2, 3), (2, 5)]
+        assert ctx.take("a") == []
+
+    def test_later_arrivals_merge_after_buffered_ones(self):
+        ctx = self.filled()
+        ctx.take("a", src=2)
+        incoming(ctx, 2, "a", 7)
+        incoming(ctx, 1, "b", 8)
+        assert [m.payload for m in ctx.take("a")] == [0, 6, 7]
+        assert [m.payload for m in ctx.take(None)] == [1, 2, 4, 8]
+
+    def test_pending_count_after_partial_takes(self):
+        ctx = self.filled()
+        assert ctx.pending_count() == 7
+        ctx.take("a", src=1)
+        assert ctx.pending_count() == 5
+        ctx.take("zzz")
+        ctx.take("c", src=2)
+        assert ctx.pending_count() == 5
+        ctx.take("b")
+        assert ctx.pending_count() == 3
+        ctx.take(None, src=1)
+        assert ctx.pending_count() == 2
+        ctx.take(None)
+        assert ctx.pending_count() == 0
+        assert ctx.peek_pending() == ()
+
+    def test_discard_pending_reports_dropped_count(self):
+        ctx = self.filled()
+        ctx.take("b", src=2)
+        assert ctx.discard_pending() == 6
+        assert ctx.pending_count() == 0
+        assert ctx.take(None) == []
+        assert ctx.discard_pending() == 0
+
+    def test_reliable_context_interleaved_tags_acks_and_duplicate(self):
+        ctx = ReliableMachineContext(rank=0, k=3, rng=np.random.default_rng(0))
+        ctx.send(1, "out", "x")  # seq 0 to machine 1, awaiting its ACK
+        assert ctx.unacked_count() == 1
+        ctx.drain_outbox()
+
+        def env(src, tag, seq, payload):
+            return Message(src=src, dst=0, tag=tag, bits=64,
+                           payload=Envelope(seq, payload_checksum(payload), payload))
+
+        ctx.deliver([
+            env(1, "a", 0, "a1"),
+            env(2, "b", 0, "b2"),
+            Message(src=1, dst=0, tag=RELIABLE_ACK_TAG, payload=0, bits=64),
+            env(2, "a", 1, "a2"),
+            env(1, "a", 0, "a1"),  # duplicate of the first arrival
+            env(1, "b", 1, "b1"),
+        ])
+        assert ctx.unacked_count() == 0
+        assert ctx.duplicates_suppressed == 1
+        assert ctx.pending_count() == 4
+        assert [m.payload for m in ctx.peek_pending()] == ["a1", "b2", "a2", "b1"]
+        assert [m.payload for m in ctx.take("a", src=2)] == ["a2"]
+        assert [m.payload for m in ctx.take(None)] == ["a1", "b2", "b1"]
+        # every envelope is acknowledged, the duplicate included
+        acks = [m for m in ctx.drain_outbox() if m.tag == RELIABLE_ACK_TAG]
+        assert [(m.dst, m.payload) for m in acks] == [(1, 0), (2, 0), (2, 1), (1, 0), (1, 1)]
 
 
 class TestContextValidation:

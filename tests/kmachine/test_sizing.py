@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.kmachine.reliable import Envelope
 from repro.kmachine.sizing import DEFAULT_POLICY, SizingPolicy, payload_bits
+from repro.points.ids import Keyed
 
 
 class TestScalarSizing:
@@ -90,3 +93,46 @@ class TestPolicyConfiguration:
         from repro.points.ids import Keyed
 
         assert DEFAULT_POLICY.measure(Keyed(1.0, 2)) == 128
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+#: Bits of every payload shape the protocols send, pinned so the
+#: exact-type fast path in ``_measure`` can never drift from the
+#: isinstance rules (bools and NumPy scalars are not plain int/float).
+PINNED_BITS = [
+    ("None", None, 1),
+    ("bool", True, 1),
+    ("np.bool_", np.bool_(False), 1),
+    ("int", 7, 64),
+    ("float", 0.5, 64),
+    ("np.float64", np.float64(1.5), 64),
+    ("np.int64", np.int64(3), 64),
+    ("int subclass", _Count(3), 64),
+    ("float subclass", _Ratio(0.5), 64),
+    ("bools in tuple", (True, False, 1.0), 66),
+    ("nested tuples", (1, (2.0, (3, None))), 193),
+    ("list of pairs", [(0.5, 7), (0.25, 9)], 256),
+    ("tagged tuple with list", ("op", [1, 2.0], np.float64(3.0)), 208),
+    ("mixed list", [_Count(1), True, 2, np.int64(4)], 193),
+    ("empty nested", ((), []), 0),
+    ("slotted pair", Keyed(1.0, 2), 128),
+    ("slotted dataclass", Envelope(3, 12345, (1.0, 2)), 256),
+    ("float ndarray", np.zeros(5), 320),
+    ("bool ndarray", np.zeros(7, dtype=bool), 7),
+    ("ndarray in tuple", (np.arange(3), 1.5), 256),
+    ("list of Keyed", [Keyed(0.1, 1), Keyed(0.2, 2)], 256),
+]
+
+
+@pytest.mark.parametrize(
+    "payload,bits", [case[1:] for case in PINNED_BITS], ids=[case[0] for case in PINNED_BITS]
+)
+def test_pinned_payload_bits(payload, bits):
+    assert DEFAULT_POLICY.measure(payload) == bits

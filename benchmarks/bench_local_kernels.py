@@ -39,8 +39,8 @@ def test_bench_distance_scan_topl(benchmark, shard):
     """Stage 2 of both protocols: scan + local top-l on one machine."""
     metric = get_metric("euclidean")
     query = np.array([2.0**31])
-    out = benchmark(lambda: local_candidates(shard, query, L, metric))
-    assert len(out) == L
+    keys, rows = benchmark(lambda: local_candidates(shard, query, L, metric))
+    assert len(keys) == len(rows) == L
 
 
 def test_bench_simple_leader_merge(benchmark):
@@ -66,7 +66,7 @@ def test_bench_range_count(benchmark, shard):
     from repro.points.ids import Keyed
 
     metric = get_metric("euclidean")
-    keys = local_candidates(shard, np.array([2.0**31]), PPM, metric)
+    keys, _ = local_candidates(shard, np.array([2.0**31]), PPM, metric)
     lo = Keyed(float(keys["value"][100]), int(keys["id"][100]))
     hi = Keyed(float(keys["value"][-100]), int(keys["id"][-100]))
     count = benchmark(lambda: _count_in(keys, lo, hi))

@@ -110,11 +110,6 @@ class BatchKNNProgram(Program):
         """Per-machine program body (see the class docstring)."""
         leader = yield from elect(ctx, method=self.election)
         shard: Shard = ctx.local
-        # Per-session setup hoisted out of the per-query loop: queries
-        # and knobs were validated/normalized once in __init__, and the
-        # shard's id → row index is built here once, so repeated
-        # queries never re-pay setup work.
-        shard.id_index()
         outputs: list[KNNOutput] = []
         for i, query in enumerate(self.queries):
             out = yield from knn_subroutine(

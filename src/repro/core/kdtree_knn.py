@@ -63,7 +63,7 @@ from ..kmachine.metrics import Metrics
 from ..points.dataset import Shard
 from ..points.ids import MINUS_INF_KEY, Keyed
 from ..points.metrics import EuclideanMetric, Metric
-from .knn import KNNOutput, local_candidates
+from .knn import KNNOutput, knn_output, local_candidates
 from .messages import tag
 from .selection import _rank_leq
 
@@ -282,7 +282,7 @@ class KDTreeKNNQueryProgram(Program):
         leader = self.leader
         is_leader = ctx.rank == leader
         lb = box_lower_bound(np.asarray(box_lo), np.asarray(box_hi), q)
-        candidates = local_candidates(shard, q, l, self.metric)
+        candidates, rows = local_candidates(shard, q, l, self.metric)
         my_lth = float(candidates["value"][l - 1]) if len(candidates) >= l else math.inf
         t_lb = tag("kdq", "lb")
         t_rad = tag("kdq", "rad")
@@ -297,7 +297,7 @@ class KDTreeKNNQueryProgram(Program):
                 if len(head)
                 else MINUS_INF_KEY
             )
-            return _assemble(shard, head, boundary, True)
+            return knn_output(shard, candidates, rows, head, boundary, True)
 
         # Phase 1: leader learns every machine's (lower bound, local
         # l-th distance) and derives the pruning radius r0 — the
@@ -339,7 +339,7 @@ class KDTreeKNNQueryProgram(Program):
                 ctx.broadcast(t_done, (boundary.value, boundary.id))
                 yield
                 local = candidates[: _rank_leq(candidates, boundary)]
-                return _assemble(shard, local, boundary, True)
+                return knn_output(shard, candidates, rows, local, boundary, True)
 
             if lb <= r0:
                 mine = candidates[candidates["value"] <= r0]
@@ -351,7 +351,7 @@ class KDTreeKNNQueryProgram(Program):
             msg = yield from ctx.recv_one(t_done, src=leader)
             boundary = Keyed(msg.payload[0], msg.payload[1])
             local = candidates[: _rank_leq(candidates, boundary)]
-            return _assemble(shard, local, boundary, False)
+            return knn_output(shard, candidates, rows, local, boundary, False)
 
 
 def build_partition(
@@ -407,23 +407,3 @@ def query_partition(
     result = sim.run()
     ids = sorted(int(i) for out in result.outputs for i in out.ids)
     return ids, result.metrics
-
-
-def _assemble(shard: Shard, selected: np.ndarray, boundary: Keyed,
-              is_leader: bool) -> KNNOutput:
-    ids = selected["id"].copy()
-    distances = selected["value"].copy()
-    order = np.argsort(shard.ids, kind="stable")
-    pos = (
-        order[np.searchsorted(shard.ids[order], ids)]
-        if len(ids)
-        else np.empty(0, np.int64)
-    )
-    return KNNOutput(
-        ids=ids,
-        distances=distances,
-        points=shard.points[pos],
-        labels=None if shard.labels is None else shard.labels[pos],
-        boundary=boundary,
-        is_leader=is_leader,
-    )

@@ -56,15 +56,16 @@ from ..kmachine.byz import (
 )
 from ..kmachine.machine import MachineContext, Program
 from ..points.dataset import Shard
-from ..points.ids import Keyed
+from ..points.ids import PLUS_INF_KEY, Keyed
 from ..points.metrics import Metric, get_metric
 from .leader import elect
 from .messages import decode_key, encode_key, log2_ceil, tag
 from .selection import SelectionStats, _rank_leq, selection_subroutine
 
-__all__ = ["KNNOutput", "KNNProgram", "knn_subroutine", "local_candidates"]
+__all__ = ["KNNOutput", "KNNProgram", "knn_output", "knn_subroutine", "local_candidates"]
 
 _KEY_DTYPE = [("value", "f8"), ("id", "i8")]
+_ID_MIN, _ID_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 @dataclass
@@ -119,15 +120,19 @@ class KNNOutput:
 
 def local_candidates(
     shard: Shard, query: np.ndarray, l: int, metric: Metric
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Stage-2 local pruning: the shard's ℓ closest points as sorted keys.
 
     Vectorized per the HPC guides: one distance-kernel call, one
-    ``np.argpartition``, one sort of the ℓ-prefix.  Returns a
-    structured ``(value, id)`` array ascending by (value, id).
+    ``np.argpartition``, one ``np.lexsort`` of the ℓ-prefix.  Returns
+    ``(keys, rows)``: ``keys`` is a structured ``(value, id)`` array of
+    at most ℓ entries ascending by (value, id), and ``rows[i]`` is the
+    shard row of ``keys[i]``.  Every protocol selects its answer among
+    these keys, so :func:`knn_output` maps answer ids back to shard
+    rows through ``rows`` without indexing the whole shard.
     """
     if len(shard) == 0:
-        return np.empty(0, dtype=_KEY_DTYPE)
+        return np.empty(0, dtype=_KEY_DTYPE), np.empty(0, dtype=np.intp)
     dists = metric.distances(shard.points, query)
     keep = np.arange(len(dists))
     if 0 < l < len(dists):
@@ -141,11 +146,62 @@ def local_candidates(
         need = l - len(less)
         tie_take = ties[np.argsort(shard.ids[ties], kind="stable")[:need]]
         keep = np.concatenate([less, tie_take])
-    out = np.empty(len(keep), dtype=_KEY_DTYPE)
-    out["value"] = dists[keep]
-    out["id"] = shard.ids[keep]
-    out.sort(order=("value", "id"))
-    return out
+    rows = keep[np.lexsort((shard.ids[keep], dists[keep]))]
+    keys = np.empty(len(rows), dtype=_KEY_DTYPE)
+    keys["value"] = dists[rows]
+    keys["id"] = shard.ids[rows]
+    return keys, rows
+
+
+def knn_output(
+    shard: Shard,
+    candidates: np.ndarray,
+    rows: np.ndarray,
+    selected: np.ndarray,
+    boundary: Keyed,
+    is_leader: bool,
+    **fields,
+) -> KNNOutput:
+    """Assemble a machine's :class:`KNNOutput` from its selected keys.
+
+    ``candidates`` / ``rows`` are this machine's :func:`local_candidates`
+    output.  Every protocol selects ``keys[:rank]`` of an ascending
+    prefix of ``candidates``, so ``selected`` must be a prefix of
+    ``candidates`` and its shard rows are the matching prefix of
+    ``rows``.  ``fields`` fill the remaining (leader-only) attributes.
+    """
+    ids = selected["id"].copy()
+    if not np.array_equal(ids, candidates["id"][: len(ids)]):
+        raise AssertionError("selected keys are not a prefix of the local candidates")
+    pos = rows[: len(ids)]
+    return KNNOutput(
+        ids=ids,
+        distances=selected["value"].copy(),
+        points=shard.points[pos],
+        labels=None if shard.labels is None else shard.labels[pos],
+        boundary=boundary,
+        is_leader=is_leader,
+        **fields,
+    )
+
+
+def _pool_cutoff(
+    remote: list[tuple[float, int]], mine: np.ndarray, cutoff: int
+) -> tuple[Keyed | None, int]:
+    """Stage-4 pick: the ``cutoff``-th smallest key of the leader's pool.
+
+    The pool is the workers' decoded sample keys ``remote`` plus the
+    leader's own sample rows ``mine``, held as one structured array and
+    ordered by one ``np.lexsort``.  Returns ``(key, pool size)``; the
+    key is the largest one when fewer than ``cutoff`` were sampled and
+    ``None`` when the pool is empty.
+    """
+    pool = np.concatenate([np.array(remote, dtype=_KEY_DTYPE), mine])
+    if not len(pool):
+        return None, 0
+    order = np.lexsort((pool["id"], pool["value"]))
+    row = pool[order[min(cutoff, len(pool)) - 1]]
+    return Keyed(row["value"], row["id"]), len(pool)
 
 
 def _safe_check_byz(
@@ -248,7 +304,7 @@ def knn_subroutine(
 
     # Stage 2: local pruning to the l closest points (free, local).
     with ctx.obs.span("local-prune"):
-        candidates = local_candidates(shard, query, l, metric)
+        candidates, rows = local_candidates(shard, query, l, metric)
     working = candidates
     external_threshold = threshold
     threshold = None  # the threshold actually applied (reported in output)
@@ -297,7 +353,7 @@ def knn_subroutine(
         # receive count is deterministic.  The leader's span covers its
         # gather of those samples — the rounds the whole system spends
         # shipping them.
-        pool: list[Keyed] = []
+        pool_key: Keyed | None = None
         with ctx.obs.span("sampling"):
             if len(candidates) > n_samples:
                 idx = ctx.rng.choice(len(candidates), size=n_samples, replace=False)
@@ -320,27 +376,27 @@ def knn_subroutine(
                     byz.timeout_rounds,
                     allowed=set(workers),
                 )
+                remote = []
                 for m in msgs:
                     if m.payload is None:
                         continue
                     try:
                         key = decode_key(m.payload)
+                        if not _ID_MIN <= key.id <= _ID_MAX:
+                            raise ValueError("sample id outside int64")
                     except (TypeError, ValueError, IndexError):
                         tracker.accuse(m.src, "malformed sample key")
                         continue
                     if np.isfinite(key.value):
-                        pool.append(key)
-                pool.extend(Keyed(row["value"], row["id"]) for row in my_samples)
-                pool.sort()
-                sampled_total = len(pool)
+                        remote.append(key.as_tuple())
+                pool_key, sampled_total = _pool_cutoff(remote, my_samples, cutoff)
             elif is_leader:
                 msgs = yield from ctx.recv(
                     t_sample, (ctx.k - 1) * n_samples, max_rounds=timeout_rounds
                 )
-                pool = [decode_key(m.payload) for m in msgs if m.payload is not None]
-                pool.extend(Keyed(row["value"], row["id"]) for row in my_samples)
-                pool.sort()
-                sampled_total = len(pool)
+                pool_key, sampled_total = _pool_cutoff(
+                    [m.payload for m in msgs if m.payload is not None], my_samples, cutoff
+                )
             else:
                 # lint: bound[log] — |my_samples| <= n_samples = O(log l)
                 for row in my_samples:
@@ -358,21 +414,18 @@ def knn_subroutine(
         # Stage 4: leader picks the threshold r and broadcasts it.
         with ctx.obs.span("threshold"):
             if is_leader and byz is not None:
-                if pool:
-                    threshold = pool[min(cutoff, len(pool)) - 1]
-                else:
-                    # All samples silenced/forged away and the leader
-                    # holds nothing: prune nothing rather than abort.
-                    threshold = Keyed(float("inf"), np.iinfo(np.int64).max)
+                # All samples silenced/forged away and the leader holds
+                # nothing: prune nothing rather than abort.
+                threshold = pool_key if pool_key is not None else PLUS_INF_KEY
                 yield from confirmed_broadcast(
                     ctx, byz, t_thresh, encode_key(threshold)
                 )
             elif is_leader:
-                if not pool:
+                if pool_key is None:
                     raise ValueError(
                         "no machine holds any point; cannot answer query"
                     )
-                threshold = pool[min(cutoff, len(pool)) - 1]
+                threshold = pool_key
                 ctx.broadcast(t_thresh, encode_key(threshold))
                 yield
             elif byz is not None:
@@ -434,23 +487,13 @@ def knn_subroutine(
             timeout_rounds=timeout_rounds, byz=byz,
         )
 
-    # Map selected distance keys back to the shard's points (the id
-    # index is computed once per shard and amortized across a session's
-    # queries; see Shard.id_index).
-    ids = sel.selected["id"].copy()
-    distances = sel.selected["value"].copy()
-    order, sorted_ids = shard.id_index()
-    pos = order[np.searchsorted(sorted_ids, ids)] if len(ids) else np.empty(0, np.int64)
-    points = shard.points[pos]
-    labels = None if shard.labels is None else shard.labels[pos]
-
-    return KNNOutput(
-        ids=ids,
-        distances=distances,
-        points=points,
-        labels=labels,
-        boundary=sel.boundary,
-        is_leader=is_leader,
+    return knn_output(
+        shard,
+        candidates,
+        rows,
+        sel.selected,
+        sel.boundary,
+        is_leader,
         survivors=sel.stats.initial_count if sel.stats is not None else None,
         sampled=sampled_total,
         threshold=threshold,

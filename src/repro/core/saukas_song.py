@@ -36,7 +36,7 @@ from ..kmachine.machine import MachineContext, Program
 from ..points.dataset import Shard
 from ..points.ids import MINUS_INF_KEY, PLUS_INF_KEY, Keyed
 from ..points.metrics import Metric, get_metric
-from .knn import KNNOutput, local_candidates
+from .knn import KNNOutput, knn_output, local_candidates
 from .leader import elect
 from .messages import decode_key, encode_key, tag
 from .selection import SelectionOutput, _count_in, _rank_leq
@@ -269,23 +269,14 @@ class SaukasSongKNNProgram(Program):
         """Per-machine program body (see the class docstring)."""
         leader = yield from elect(ctx, method=self.election)
         shard: Shard = ctx.local
-        candidates = local_candidates(shard, self.query, self.l, self.metric)
+        candidates, rows = local_candidates(shard, self.query, self.l, self.metric)
         sel = yield from saukas_song_subroutine(ctx, leader, candidates, self.l)
-        ids = sel.selected["id"].copy()
-        distances = sel.selected["value"].copy()
-        order = np.argsort(shard.ids, kind="stable")
-        pos = (
-            order[np.searchsorted(shard.ids[order], ids)]
-            if len(ids)
-            else np.empty(0, np.int64)
-        )
-        return KNNOutput(
-            ids=ids,
-            distances=distances,
-            points=shard.points[pos],
-            labels=None if shard.labels is None else shard.labels[pos],
-            boundary=sel.boundary,
-            is_leader=sel.is_leader,
+        return knn_output(
+            shard,
+            candidates,
+            rows,
+            sel.selected,
+            sel.boundary,
+            sel.is_leader,
             survivors=sel.stats.initial_count if sel.stats else None,
-            selection_stats=None,
         )

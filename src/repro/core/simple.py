@@ -28,7 +28,7 @@ from ..kmachine.machine import MachineContext, Program
 from ..points.dataset import Shard
 from ..points.ids import MINUS_INF_KEY, Keyed
 from ..points.metrics import Metric, get_metric
-from .knn import KNNOutput, local_candidates
+from .knn import KNNOutput, knn_output, local_candidates
 from .leader import elect
 from .messages import decode_key, encode_key, tag
 from .selection import _rank_leq
@@ -57,7 +57,7 @@ def simple_knn_subroutine(
         raise ValueError(f"l must be >= 1, got {l}")
     query = np.atleast_1d(np.asarray(query, dtype=np.float64))
     with ctx.obs.span("local-prune"):
-        candidates = local_candidates(shard, query, l, metric)
+        candidates, rows = local_candidates(shard, query, l, metric)
     is_leader = ctx.rank == leader
     t_count = tag(prefix, "n")
     t_cand = tag(prefix, "cand")
@@ -74,7 +74,9 @@ def simple_knn_subroutine(
             )
         )
         head = candidates[: min(l, len(candidates))]
-        return _build_output(shard, head, boundary, True, len(candidates))
+        return knn_output(
+            shard, candidates, rows, head, boundary, True, survivors=len(candidates)
+        )
 
     if not is_leader:
         # Announce how many pairs follow, then stream them.  The count
@@ -88,7 +90,7 @@ def simple_knn_subroutine(
             msg = yield from ctx.recv_one(t_done, src=leader)
             boundary = decode_key(msg.payload)
         local = candidates[: _rank_leq(candidates, boundary)]
-        return _build_output(shard, local, boundary, False, None)
+        return knn_output(shard, candidates, rows, local, boundary, False)
 
     # Leader: gather counts, then the announced number of candidates.
     with ctx.obs.span("gather"):
@@ -114,36 +116,8 @@ def simple_knn_subroutine(
         ctx.broadcast(t_done, encode_key(boundary))
         yield
     local = candidates[: _rank_leq(candidates, boundary)]
-    return _build_output(shard, local, boundary, True, len(merged))
-
-
-def _build_output(
-    shard: Shard,
-    selected: np.ndarray,
-    boundary: Keyed,
-    is_leader: bool,
-    survivors: int | None,
-) -> KNNOutput:
-    ids = selected["id"].copy()
-    distances = selected["value"].copy()
-    order = np.argsort(shard.ids, kind="stable")
-    pos = (
-        order[np.searchsorted(shard.ids[order], ids)]
-        if len(ids)
-        else np.empty(0, np.int64)
-    )
-    return KNNOutput(
-        ids=ids,
-        distances=distances,
-        points=shard.points[pos],
-        labels=None if shard.labels is None else shard.labels[pos],
-        boundary=boundary,
-        is_leader=is_leader,
-        survivors=survivors,
-        sampled=None,
-        threshold=None,
-        fallback=False,
-        selection_stats=None,
+    return knn_output(
+        shard, candidates, rows, local, boundary, True, survivors=len(merged)
     )
 
 

@@ -15,9 +15,8 @@ deletes to the resident shards, in O(1) rounds and O(k) messages:
    :class:`~repro.kmachine.schema.PointBatch` envelope — counts keep
    receive totals deterministic without empty messages.
 3. **Apply + ack** — every machine deletes the ids it holds, appends
-   its routed inserts (both through the shard mutation API, which
-   invalidates the memoized id index), and acks ``(deleted, new_load)``
-   to the leader.
+   its routed inserts (both through the shard mutation API), and acks
+   ``(deleted, new_load)`` to the leader.
 
 Total traffic: ``3(k−1)`` control messages plus one envelope per
 distinct insert target — the bound

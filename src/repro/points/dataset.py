@@ -71,11 +71,16 @@ class Dataset:
         return self.points.shape[1]
 
     def take(self, indices: np.ndarray) -> "Shard":
-        """Build a shard from row ``indices`` (no copy of untouched rows)."""
+        """Build a shard from a copy of the integer row ``indices``.
+
+        The selected rows are copied (``np.take`` along axis 0, much
+        faster than 2-D fancy indexing), so the shard never aliases the
+        dataset; untouched rows are not read.
+        """
         return Shard(
-            points=self.points[indices],
-            ids=self.ids[indices],
-            labels=None if self.labels is None else self.labels[indices],
+            points=np.take(self.points, indices, axis=0),
+            ids=np.take(self.ids, indices),
+            labels=None if self.labels is None else np.take(self.labels, indices, axis=0),
         )
 
     def label_of(self, point_id: int) -> object:
@@ -132,10 +137,10 @@ class Shard:
     """One machine's local slice of a :class:`Dataset`.
 
     The query protocols treat a shard as read-only input; derived
-    candidate sets are fresh arrays.  The dynamic-data layer
-    (:mod:`repro.dyn`) mutates shards between query episodes through
-    :meth:`add_points` / :meth:`remove_ids`, which invalidate any
-    memoized derived state (:meth:`invalidate_caches`).
+    candidate sets are fresh arrays, and answer ids map back to rows
+    through the per-query candidates, so a shard memoizes nothing.
+    The dynamic-data layer (:mod:`repro.dyn`) mutates shards between
+    query episodes through :meth:`add_points` / :meth:`remove_ids`.
     """
 
     points: np.ndarray
@@ -160,29 +165,6 @@ class Shard:
         """Point dimensionality ``d``."""
         return self.points.shape[1]
 
-    def id_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(order, ids[order])`` pair for id → row lookups.
-
-        Mapping answer IDs back to local rows needs the shard's IDs in
-        sorted order; computing that argsort per query re-pays an
-        O(|shard| log |shard|) setup cost on every query of a session.
-        The pair is computed once and cached in :attr:`meta`.  Every
-        point-set mutation must go through :meth:`add_points` /
-        :meth:`remove_ids` (or call :meth:`invalidate_caches`), which
-        drop the memo — a stale index would map answer ids to the
-        wrong rows.
-        """
-        cached = self.meta.get("_id_index")
-        if cached is None:
-            order = np.argsort(self.ids, kind="stable")
-            cached = (order, self.ids[order])
-            self.meta["_id_index"] = cached
-        return cached
-
-    def invalidate_caches(self) -> None:
-        """Drop memoized derived state after any point-set change."""
-        self.meta.pop("_id_index", None)
-
     def add_points(
         self,
         points: np.ndarray,
@@ -204,7 +186,6 @@ class Shard:
         self.ids = np.concatenate([self.ids, ids])
         if self.labels is not None:
             self.labels = np.concatenate([self.labels, labels])
-        self.invalidate_caches()
 
     def remove_ids(self, ids: np.ndarray) -> int:
         """Drop locally-held points by id; returns how many were held.
@@ -221,7 +202,6 @@ class Shard:
             self.ids = self.ids[keep]
             if self.labels is not None:
                 self.labels = self.labels[keep]
-            self.invalidate_caches()
         return removed
 
 

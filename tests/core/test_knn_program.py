@@ -5,10 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.knn import KNNProgram, local_candidates
-from repro.kmachine import Simulator
-from repro.points.dataset import Shard, make_dataset
+from repro.core.driver import distributed_knn
+from repro.core.knn import (
+    KNNProgram,
+    _pool_cutoff,
+    knn_output,
+    knn_subroutine,
+    local_candidates,
+)
+from repro.kmachine import FunctionProgram, Simulator
+from repro.kmachine.byz import ByzConfig, suspicions
+from repro.points.dataset import Dataset, Shard, make_dataset
 from repro.points.generators import duplicate_heavy, gaussian_blobs, uniform_ints
+from repro.points.ids import Keyed
 from repro.points.metrics import get_metric
 from repro.points.partition import shard_dataset
 from repro.sequential.brute import brute_force_knn_ids
@@ -36,22 +45,65 @@ class TestLocalCandidates:
     def test_keeps_l_closest(self, rng):
         ds = make_dataset(rng.normal(size=(50, 2)), rng=rng)
         shard = ds.take(np.arange(50))
-        cand = local_candidates(shard, np.zeros(2), 5, get_metric("euclidean"))
+        cand, rows = local_candidates(shard, np.zeros(2), 5, get_metric("euclidean"))
         assert len(cand) == 5
         assert (np.diff(cand["value"]) >= 0).all()
         dists = np.linalg.norm(shard.points, axis=1)
         np.testing.assert_allclose(np.sort(dists)[:5], cand["value"])
+        np.testing.assert_array_equal(shard.ids[rows], cand["id"])
+        np.testing.assert_allclose(dists[rows], cand["value"])
 
     def test_small_shard_keeps_everything(self, rng):
         ds = make_dataset(rng.normal(size=(3, 2)), rng=rng)
-        cand = local_candidates(ds.take(np.arange(3)), np.zeros(2), 10,
-                                get_metric("euclidean"))
+        shard = ds.take(np.arange(3))
+        cand, rows = local_candidates(shard, np.zeros(2), 10, get_metric("euclidean"))
         assert len(cand) == 3
+        assert sorted(rows) == [0, 1, 2]
+        np.testing.assert_array_equal(shard.ids[rows], cand["id"])
+
+    def test_ties_ordered_by_id(self):
+        shard = Shard(
+            points=np.array([[1.0], [1.0], [1.0], [0.5], [1.0]]),
+            ids=np.array([40, 10, 30, 50, 20], dtype=np.int64),
+        )
+        cand, rows = local_candidates(shard, np.zeros(1), 3, get_metric("euclidean"))
+        assert cand["id"].tolist() == [50, 10, 20]
+        assert rows.tolist() == [3, 1, 4]
 
     def test_empty_shard(self):
         shard = Shard(points=np.empty((0, 2)), ids=np.empty(0, np.int64))
-        cand = local_candidates(shard, np.zeros(2), 5, get_metric("euclidean"))
+        cand, rows = local_candidates(shard, np.zeros(2), 5, get_metric("euclidean"))
         assert len(cand) == 0
+        assert len(rows) == 0
+
+
+class TestKNNOutput:
+    def _shard(self):
+        return Shard(
+            points=np.array([[3.0], [1.0], [2.0], [0.0]]),
+            ids=np.array([7, 5, 9, 2], dtype=np.int64),
+            labels=np.array(["c", "a", "b", "z"]),
+        )
+
+    def test_maps_selected_ids_to_shard_rows(self):
+        shard = self._shard()
+        cand, rows = local_candidates(shard, np.zeros(1), 3, get_metric("euclidean"))
+        out = knn_output(shard, cand, rows, cand[:2], Keyed(1.0, 5), False)
+        assert out.ids.tolist() == [2, 5]
+        assert out.points[:, 0].tolist() == [0.0, 1.0]
+        assert out.labels.tolist() == ["z", "a"]
+        assert out.distances.tolist() == [0.0, 1.0]
+
+    def test_rejects_keys_that_are_not_a_candidate_prefix(self):
+        shard = self._shard()
+        cand, rows = local_candidates(shard, np.zeros(1), 2, get_metric("euclidean"))
+        stray = np.array([(3.0, 7)], dtype=cand.dtype)  # pruned away: not a candidate
+        with pytest.raises(AssertionError):
+            knn_output(shard, cand, rows, stray, Keyed(3.0, 7), False)
+        with pytest.raises(AssertionError):  # a candidate, but not the nearest
+            knn_output(shard, cand, rows, cand[1:], Keyed(1.0, 5), False)
+        with pytest.raises(AssertionError):
+            knn_output(shard, cand[:0], rows[:0], cand[:1], Keyed(0.0, 2), False)
 
 
 class TestCorrectness:
@@ -208,3 +260,93 @@ class TestSafeModeFallback:
             result = run_knn(ds, q, 8, 128, seed=seed, safe_mode=True)
             leader = next(o for o in result.outputs if o.is_leader)
             assert not leader.fallback
+
+
+class TestPoolCutoff:
+    def test_picks_cutoff_key_in_value_then_id_order(self):
+        # The tied value 0.5 arrives with the larger id first.
+        remote = [(0.5, 9), (1.0, 4), (0.25, 8)]
+        mine = np.array([(0.5, 3), (2.0, 1)], dtype=[("value", "f8"), ("id", "i8")])
+        assert _pool_cutoff(remote, mine, 1) == (Keyed(0.25, 8), 5)
+        assert _pool_cutoff(remote, mine, 2) == (Keyed(0.5, 3), 5)
+        assert _pool_cutoff(remote, mine, 3) == (Keyed(0.5, 9), 5)
+        # Fewer keys than the cutoff: the largest key.
+        assert _pool_cutoff(remote, mine, 50) == (Keyed(2.0, 1), 5)
+
+    def test_empty_pool(self):
+        mine = np.empty(0, dtype=[("value", "f8"), ("id", "i8")])
+        assert _pool_cutoff([], mine, 3) == (None, 0)
+
+
+def test_byzantine_leader_drops_and_accuses_malformed_samples():
+    """A scripted liar's sample keys never reach the leader's numpy pool
+    unless they are well-formed, finite and within the int64 id range."""
+    cfg = ByzConfig(f=1, timeout_rounds=8)
+    rng = np.random.default_rng(11)
+    ds = make_dataset(rng.uniform(0, 1, (90, 2)), rng=rng)
+    shards = shard_dataset(ds, 4, rng)
+    query, l = np.array([0.5, 0.5]), 8
+    bad = [(1.0, 2**70), ("x", 5), (0.5,), (float("nan"), 6), (float("inf"), 7)]
+
+    def body(ctx):
+        if ctx.rank == 3:  # sends only malformed samples, then falls silent
+            for payload in bad:
+                ctx.send(0, "knn/sample", payload)
+            yield
+            return None
+        out = yield from knn_subroutine(
+            ctx, 0, ctx.local, query, l, get_metric("euclidean"), byz=cfg
+        )
+        return out, suspicions(ctx).suspects()
+
+    outputs = Simulator(k=4, program=FunctionProgram(body), inputs=shards, seed=3).run().outputs
+    leader, suspects = outputs[0]
+    assert 3 in suspects
+    assert leader.sampled == sum(min(l, len(shard)) for shard in shards[:3])
+    honest = Dataset(
+        points=np.concatenate([s.points for s in shards[:3]]),
+        ids=np.concatenate([s.ids for s in shards[:3]]),
+    )
+    got = {int(i) for out, _ in outputs[:3] for i in out.ids}
+    assert got == brute_force_knn_ids(honest, query, l)
+
+
+class TestPinnedLeaderPool:
+    """Seeded Algorithm 2 bills and leader sample statistics, pinned.
+
+    Values recorded from the implementation that sorted the leader's
+    sample pool as a Python list of ``Keyed``; the numpy pool must pick
+    the same threshold, and the protocol must send the same messages.
+    Columns: seed, rounds, messages, threshold value, threshold id,
+    keys sampled.  Data: n = 2**14 uniform 16-d points, k = 16.
+    """
+
+    PINNED = {
+        64: [
+            (0, 53, 1394, 1.0397874152108926, 2478283292359, 1024),
+            (1, 53, 1394, 0.9975098304346107, 2212552739480, 1024),
+            (2, 73, 1554, 1.1819863691660912, 2780232145281, 1024),
+            (3, 65, 1490, 1.0495389924072565, 1102397922106, 1024),
+            (4, 71, 1552, 1.0794517314638228, 346214883307, 1024),
+        ],
+        # l = 256 > 12 log2 l samples per machine, so the samples are drawn.
+        256: [
+            (0, 91, 2008, 1.152245953487296, 3210781996887, 1536),
+            (1, 103, 2104, 1.100963907417441, 3521818615307, 1536),
+            (2, 81, 1914, 1.3098090885286036, 2946871431855, 1536),
+            (3, 87, 1976, 1.177089257104825, 796415555072, 1536),
+            (4, 91, 2008, 1.2103565375540086, 70012306707, 1536),
+        ],
+    }
+
+    @pytest.mark.parametrize("l", sorted(PINNED))
+    def test_matches_pinned_values(self, l):
+        for seed, rounds, messages, value, pid, sampled in self.PINNED[l]:
+            rng = np.random.default_rng(seed)
+            points = rng.uniform(0.0, 1.0, (2**14, 16))
+            query = rng.uniform(0.0, 1.0, 16)
+            result = distributed_knn(points, query, l, 16, seed=seed)
+            leader = result.leader_output
+            assert (result.metrics.rounds, result.metrics.messages) == (rounds, messages)
+            assert leader.threshold == Keyed(value, pid)
+            assert leader.sampled == sampled

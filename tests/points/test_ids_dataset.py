@@ -127,6 +127,43 @@ class TestDataset:
         np.testing.assert_array_equal(shard.labels, [2, 5])
         np.testing.assert_array_equal(shard.points, ds.points[[2, 5]])
 
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize(
+        "indices", [[7, 0, 3, 3, 9], [], list(range(10))], ids=["mixed", "empty", "all"]
+    )
+    def test_take_matches_fancy_indexing(self, rng, labelled, indices):
+        labels = np.array(list("abcdefghij")) if labelled else None
+        ds = make_dataset(rng.normal(size=(10, 3)), labels=labels, rng=rng)
+        idx = np.array(indices, dtype=np.int64)
+        shard = ds.take(idx)
+        assert shard.points.shape == (len(idx), 3)
+        np.testing.assert_array_equal(shard.points, ds.points[idx])
+        np.testing.assert_array_equal(shard.ids, ds.ids[idx])
+        if labelled:
+            np.testing.assert_array_equal(shard.labels, ds.labels[idx])
+        else:
+            assert shard.labels is None
+
+    def test_take_from_non_contiguous_points(self, rng):
+        base = rng.normal(size=(12, 6))
+        ds = Dataset(points=base[::2, ::3], ids=np.arange(1, 7))
+        assert not ds.points.flags.c_contiguous
+        idx = np.array([5, 1, 2])
+        np.testing.assert_array_equal(ds.take(idx).points, base[::2, ::3][idx])
+
+    def test_take_never_aliases_the_dataset(self, rng):
+        ds = make_dataset(rng.normal(size=(10, 3)), labels=np.arange(10), rng=rng)
+        shard = ds.take(np.arange(10))
+        for got, owner in [
+            (shard.points, ds.points),
+            (shard.ids, ds.ids),
+            (shard.labels, ds.labels),
+        ]:
+            assert not np.shares_memory(got, owner)
+        before = ds.points.copy()
+        shard.points[0, 0] = 1e9
+        np.testing.assert_array_equal(ds.points, before)
+
     def test_label_of(self, rng):
         ds = make_dataset(rng.normal(size=(5, 2)), labels=np.array(list("abcde")), rng=rng)
         assert ds.label_of(int(ds.ids[3])) == "d"

@@ -61,15 +61,16 @@ def test_bench_alg2_leader_sample_sort(benchmark):
 
 
 def test_bench_range_count(benchmark, shard):
-    """One worker count reply: |{x : lo < x <= p}| via searchsorted."""
-    from repro.core.selection import _count_in
+    """One worker count reply: |{x : lo < x <= p}| via the bisect key index."""
+    from repro.core.selection import KeyIndex
     from repro.points.ids import Keyed
 
     metric = get_metric("euclidean")
     keys, _ = local_candidates(shard, np.array([2.0**31]), PPM, metric)
     lo = Keyed(float(keys["value"][100]), int(keys["id"][100]))
     hi = Keyed(float(keys["value"][-100]), int(keys["id"][-100]))
-    count = benchmark(lambda: _count_in(keys, lo, hi))
+    index = KeyIndex(keys)
+    count = benchmark(lambda: index.count_in(lo, hi))
     assert count > 0
 
 

@@ -39,7 +39,7 @@ from ..points.metrics import Metric, get_metric
 from .knn import KNNOutput, knn_output, local_candidates
 from .leader import elect
 from .messages import encode_key, tag
-from .selection import SelectionOutput, _rank_leq
+from .selection import KeyIndex, SelectionOutput
 
 __all__ = [
     "BinarySearchStats",
@@ -67,10 +67,6 @@ class BinarySearchStats:
         return self.value_iterations + self.id_iterations
 
 
-def _count_leq(keys: np.ndarray, bound: Keyed) -> int:
-    return _rank_leq(keys, bound)
-
-
 def binary_search_subroutine(
     ctx: MachineContext,
     leader: int,
@@ -85,22 +81,22 @@ def binary_search_subroutine(
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    keys = np.sort(np.asarray(keys), order=("value", "id"))
+    index = KeyIndex(np.sort(np.asarray(keys), order=("value", "id")))
     t_query = tag(prefix, "q")
     t_reply = tag(prefix, "r")
     if ctx.rank == leader:
-        return (yield from _leader(ctx, keys, l, t_query, t_reply))
-    return (yield from _worker(ctx, leader, keys, t_query, t_reply))
+        return (yield from _leader(ctx, index, l, t_query, t_reply))
+    return (yield from _worker(ctx, leader, index, t_query, t_reply))
 
 
 def _global_count(
-    ctx: MachineContext, keys: np.ndarray, bound: Keyed, t_query: str, t_reply: str
+    ctx: MachineContext, index: KeyIndex, bound: Keyed, t_query: str, t_reply: str
 ) -> Generator[None, None, int]:
     """Leader helper: broadcast a count probe and sum the replies."""
     with ctx.obs.span("bsel/count"):
         if ctx.k > 1:
             ctx.broadcast(t_query, (_OP_COUNT, encode_key(bound)))
-        total = _count_leq(keys, bound)
+        total = index.rank_leq(bound)
         if ctx.k > 1:
             replies = yield from ctx.recv(t_reply, ctx.k - 1)
             total += sum(msg.payload[1] for msg in replies)
@@ -108,7 +104,7 @@ def _global_count(
 
 
 def _leader(
-    ctx: MachineContext, keys: np.ndarray, l: int, t_query: str, t_reply: str
+    ctx: MachineContext, index: KeyIndex, l: int, t_query: str, t_reply: str
 ) -> Generator[None, None, SelectionOutput]:
     k = ctx.k
     stats = BinarySearchStats()
@@ -118,9 +114,10 @@ def _leader(
     with ctx.obs.span("bsel/init"):
         if k > 1:
             ctx.broadcast(t_query, (_OP_EXTENT,))
-        n_self = len(keys)
-        vmin = float(keys[0]["value"]) if n_self else np.inf
-        vmax = float(keys[-1]["value"]) if n_self else -np.inf
+        values = index.values
+        n_self = len(values)
+        vmin = values[0] if n_self else np.inf
+        vmax = values[-1] if n_self else -np.inf
         total = n_self
         if k > 1:
             replies = yield from ctx.recv(t_reply, k - 1)
@@ -133,16 +130,16 @@ def _leader(
         stats.initial_count = total
 
     if l == 0 or total == 0:
-        return (yield from _finish(ctx, keys, MINUS_INF_KEY, t_query, stats))
+        return (yield from _finish(ctx, index, MINUS_INF_KEY, t_query, stats))
     if total <= l:
         boundary = Keyed(vmax, max_id)
-        return (yield from _finish(ctx, keys, boundary, t_query, stats))
+        return (yield from _finish(ctx, index, boundary, t_query, stats))
 
     # Phase 1: bisect on the value axis for v* = the l-th smallest value.
     # Invariant: count(<= lo_val with any id) < l <= count(<= hi_val).
     lo_val, hi_val = vmin, vmax
     count_lo = yield from _global_count(
-        ctx, keys, Keyed(lo_val, max_id), t_query, t_reply
+        ctx, index, Keyed(lo_val, max_id), t_query, t_reply
     )
     stats.value_iterations += 1
     if count_lo >= l:
@@ -153,9 +150,9 @@ def _leader(
         if mid <= lo_val or mid >= hi_val:
             break  # interval collapsed to adjacent floats
         stats.value_iterations += 1
-        c = yield from _global_count(ctx, keys, Keyed(mid, max_id), t_query, t_reply)
+        c = yield from _global_count(ctx, index, Keyed(mid, max_id), t_query, t_reply)
         if c == l:
-            return (yield from _finish(ctx, keys, Keyed(mid, max_id), t_query, stats))
+            return (yield from _finish(ctx, index, Keyed(mid, max_id), t_query, stats))
         if c < l:
             lo_val = mid
         else:
@@ -166,7 +163,7 @@ def _leader(
     # need the (l - count(< v*)) smallest ids among value == v*.
     stats.id_iterations += 1
     c_below = yield from _global_count(
-        ctx, keys, Keyed(v_star, 0), t_query, t_reply
+        ctx, index, Keyed(v_star, 0), t_query, t_reply
     )  # ids are >= 1, so id 0 counts strictly-smaller values only
     need = l - c_below
     if need <= 0:  # pragma: no cover - invariant violation guard
@@ -176,19 +173,19 @@ def _leader(
         mid_id = lo_id + (hi_id - lo_id) // 2
         stats.id_iterations += 1
         c = yield from _global_count(
-            ctx, keys, Keyed(v_star, mid_id), t_query, t_reply
+            ctx, index, Keyed(v_star, mid_id), t_query, t_reply
         )
         if c - c_below >= need:
             hi_id = mid_id
         else:
             lo_id = mid_id
     boundary = Keyed(v_star, hi_id)
-    return (yield from _finish(ctx, keys, boundary, t_query, stats))
+    return (yield from _finish(ctx, index, boundary, t_query, stats))
 
 
 def _finish(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     boundary: Keyed,
     t_query: str,
     stats: BinarySearchStats,
@@ -197,18 +194,19 @@ def _finish(
         if ctx.k > 1:
             ctx.broadcast(t_query, (_OP_FINISHED, encode_key(boundary)))
             yield
-        selected = keys[: _rank_leq(keys, boundary)]
+        selected = index.prefix(boundary)
         return SelectionOutput(
             selected=selected, boundary=boundary, is_leader=True, stats=stats  # type: ignore[arg-type]
         )
 
 
 def _worker(
-    ctx: MachineContext, leader: int, keys: np.ndarray, t_query: str, t_reply: str
+    ctx: MachineContext, leader: int, index: KeyIndex, t_query: str, t_reply: str
 ) -> Generator[None, None, SelectionOutput]:
-    n = len(keys)
-    vmin = float(keys[0]["value"]) if n else np.inf
-    vmax = float(keys[-1]["value"]) if n else -np.inf
+    values = index.values
+    n = len(values)
+    vmin = values[0] if n else np.inf
+    vmax = values[-1] if n else -np.inf
     with ctx.obs.span("bsel/serve"):
         # lint: bound[log] — one op per leader bisection probe
         while True:
@@ -219,12 +217,12 @@ def _worker(
             elif op == _OP_COUNT:
                 value, id_ = msg.payload[1]
                 ctx.send(
-                    leader, t_reply, (_OP_COUNT, _count_leq(keys, Keyed(value, id_)))
+                    leader, t_reply, (_OP_COUNT, index.rank_leq(Keyed(value, id_)))
                 )
             elif op == _OP_FINISHED:
                 value, id_ = msg.payload[1]
                 boundary = Keyed(value, id_)
-                selected = keys[: _rank_leq(keys, boundary)]
+                selected = index.prefix(boundary)
                 return SelectionOutput(
                     selected=selected, boundary=boundary, is_leader=False, stats=None
                 )

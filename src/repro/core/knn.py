@@ -399,10 +399,8 @@ def knn_subroutine(
                 )
             else:
                 # lint: bound[log] — |my_samples| <= n_samples = O(log l)
-                for row in my_samples:
-                    ctx.send(
-                        leader, t_sample, encode_key(Keyed(row["value"], row["id"]))
-                    )
+                for pair in my_samples.tolist():  # (value, id): encode_key's wire form
+                    ctx.send(leader, t_sample, pair)
                     if pace_samples:
                         yield
                 # lint: bound[log] — pads the emission count to n_samples

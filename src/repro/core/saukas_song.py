@@ -39,7 +39,7 @@ from ..points.metrics import Metric, get_metric
 from .knn import KNNOutput, knn_output, local_candidates
 from .leader import elect
 from .messages import decode_key, encode_key, tag
-from .selection import SelectionOutput, _count_in, _rank_leq
+from .selection import KeyIndex, SelectionOutput
 
 __all__ = [
     "SaukasSongStats",
@@ -62,15 +62,14 @@ class SaukasSongStats:
     sizes: list[int] = field(default_factory=list)
 
 
-def _local_median_in(keys: np.ndarray, lo: Keyed, hi: Keyed) -> tuple[int, Keyed | None]:
+def _local_median_in(index: KeyIndex, lo: Keyed, hi: Keyed) -> tuple[int, Keyed | None]:
     """(count, lower-median key) of this machine's keys in ``(lo, hi]``."""
-    start = _rank_leq(keys, lo)
-    stop = _rank_leq(keys, hi)
-    count = stop - start
+    start = index.rank_leq(lo)
+    count = index.rank_leq(hi) - start
     if count <= 0:
         return 0, None
-    row = keys[start + (count - 1) // 2]
-    return count, Keyed(float(row["value"]), int(row["id"]))
+    mid = start + (count - 1) // 2
+    return count, Keyed(index.values[mid], index.ids[mid])
 
 
 def _weighted_median(medians: list[tuple[Keyed, int]]) -> Keyed:
@@ -107,17 +106,17 @@ def saukas_song_subroutine(
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    keys = np.sort(np.asarray(keys), order=("value", "id"))
+    index = KeyIndex(np.sort(np.asarray(keys), order=("value", "id")))
     t_query = tag(prefix, "q")
     t_reply = tag(prefix, "r")
 
     if ctx.rank == leader:
-        return (yield from _leader(ctx, keys, l, t_query, t_reply))
-    return (yield from _worker(ctx, leader, keys, t_query, t_reply))
+        return (yield from _leader(ctx, index, l, t_query, t_reply))
+    return (yield from _worker(ctx, leader, index, t_query, t_reply))
 
 
 def _leader(
-    ctx: MachineContext, keys: np.ndarray, l: int, t_query: str, t_reply: str
+    ctx: MachineContext, index: KeyIndex, l: int, t_query: str, t_reply: str
 ) -> Generator[None, None, SelectionOutput]:
     k = ctx.k
     stats = SaukasSongStats()
@@ -135,7 +134,7 @@ def _leader(
             # --- median round --------------------------------------------
             if k > 1:
                 ctx.broadcast(t_query, (_OP_MEDIAN, encode_key(lo), encode_key(hi)))
-            my_count, my_median = _local_median_in(keys, lo, hi)
+            my_count, my_median = _local_median_in(index, lo, hi)
             medians: list[tuple[Keyed, int]] = []
             counts = np.zeros(k, dtype=np.int64)
             counts[ctx.rank] = my_count
@@ -168,7 +167,7 @@ def _leader(
             if k > 1:
                 ctx.broadcast(t_query, (_OP_COUNT, encode_key(lo), encode_key(pivot)))
             below = np.zeros(k, dtype=np.int64)
-            below[ctx.rank] = _count_in(keys, lo, pivot)
+            below[ctx.rank] = index.count_in(lo, pivot)
             if k > 1:
                 replies = yield from ctx.recv(t_reply, k - 1)
                 for msg in replies:
@@ -188,7 +187,7 @@ def _leader(
         if k > 1:
             ctx.broadcast(t_query, (_OP_FINISHED, encode_key(boundary)))
             yield
-    selected = keys[: _rank_leq(keys, boundary)]
+    selected = index.prefix(boundary)
     # stats duck-types SelectionStats' `initial_count`/`iterations`.
     return SelectionOutput(
         selected=selected, boundary=boundary, is_leader=True, stats=stats  # type: ignore[arg-type]
@@ -196,7 +195,7 @@ def _leader(
 
 
 def _worker(
-    ctx: MachineContext, leader: int, keys: np.ndarray, t_query: str, t_reply: str
+    ctx: MachineContext, leader: int, index: KeyIndex, t_query: str, t_reply: str
 ) -> Generator[None, None, SelectionOutput]:
     with ctx.obs.span("ssel/serve"):
         # lint: bound[log] — one op per leader halving round
@@ -206,16 +205,16 @@ def _worker(
             if op == _OP_MEDIAN:
                 lo = decode_key(msg.payload[1])
                 hi = decode_key(msg.payload[2])
-                count, median = _local_median_in(keys, lo, hi)
+                count, median = _local_median_in(index, lo, hi)
                 wire = None if median is None else encode_key(median)
                 ctx.send(leader, t_reply, (_OP_MEDIAN, count, wire))
             elif op == _OP_COUNT:
                 lo = decode_key(msg.payload[1])
                 p = decode_key(msg.payload[2])
-                ctx.send(leader, t_reply, (_OP_COUNT, _count_in(keys, lo, p)))
+                ctx.send(leader, t_reply, (_OP_COUNT, index.count_in(lo, p)))
             elif op == _OP_FINISHED:
                 boundary = decode_key(msg.payload[1])
-                selected = keys[: _rank_leq(keys, boundary)]
+                selected = index.prefix(boundary)
                 return SelectionOutput(
                     selected=selected, boundary=boundary, is_leader=False, stats=None
                 )

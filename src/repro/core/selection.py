@@ -39,6 +39,7 @@ The module exposes the protocol in two forms:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator
@@ -61,7 +62,15 @@ from ..points.ids import MINUS_INF_KEY, PLUS_INF_KEY, Keyed
 from .leader import elect
 from .messages import OP_COUNT, OP_FINISHED, OP_INIT, OP_PICK, decode_key, encode_key, tag
 
-__all__ = ["SelectionStats", "SelectionOutput", "selection_subroutine", "SelectionProgram"]
+__all__ = [
+    "SelectionStats",
+    "SelectionOutput",
+    "KeyIndex",
+    "selection_subroutine",
+    "SelectionProgram",
+]
+
+_INF = float("inf")
 
 
 @dataclass
@@ -110,29 +119,11 @@ class SelectionOutput:
     stats: SelectionStats | None = None
 
 
-def _local_extremes(keys: np.ndarray) -> tuple[int, Keyed, Keyed]:
-    """Count plus (min, max) keys of a structured array, with sentinels."""
-    n = len(keys)
-    if n == 0:
-        return 0, PLUS_INF_KEY, MINUS_INF_KEY
-    first, last = keys[0], keys[-1]
-    return n, Keyed(float(first["value"]), int(first["id"])), Keyed(
-        float(last["value"]), int(last["id"])
-    )
-
-
-def _count_in(keys: np.ndarray, lo: Keyed, hi: Keyed) -> int:
-    """|{x : lo < x <= hi}| on a sorted structured array, vectorized.
-
-    Lexicographic (value, id) comparison via searchsorted on the value
-    column refined by an ID scan only at the boundary values, so the
-    common case is two binary searches.
-    """
-    return _rank_leq(keys, hi) - _rank_leq(keys, lo)
-
-
 def _rank_leq(keys: np.ndarray, bound: Keyed) -> int:
-    """|{x : x <= bound}| on a sorted structured array."""
+    """|{x : x <= bound}| on a sorted structured array (one-off cuts).
+
+    Loops that query the same keys repeatedly use a :class:`KeyIndex`.
+    """
     if len(keys) == 0:
         return 0
     if bound.value == np.inf:
@@ -141,30 +132,67 @@ def _rank_leq(keys: np.ndarray, bound: Keyed) -> int:
         return 0
     values = keys["value"]
     # All rows with value < bound.value are <= bound.
-    left = int(np.searchsorted(values, bound.value, side="left"))
-    right = int(np.searchsorted(values, bound.value, side="right"))
+    left = int(values.searchsorted(bound.value, side="left"))
+    right = int(values.searchsorted(bound.value, side="right"))
     if left == right:
         return left
     # Rows with value == bound.value: include those with id <= bound.id.
     ids = keys["id"][left:right]
-    return left + int(np.searchsorted(np.sort(ids), bound.id, side="right"))
+    return left + int(np.sort(ids).searchsorted(bound.id, side="right"))
 
 
-def _uniform_in_range(
-    keys: np.ndarray, lo: Keyed, hi: Keyed, rng: np.random.Generator
-) -> Keyed:
-    """A uniform random key strictly above ``lo`` and at most ``hi``."""
-    start = _rank_leq(keys, lo)
-    stop = _rank_leq(keys, hi)
-    if stop <= start:
-        raise ValueError("no points in range; leader accounting is wrong")
-    # keys is sorted by (value, id) except ties on value are unsorted by
-    # id within the value block; ranks are still consistent because the
-    # block membership is what matters for uniformity.
-    idx = start + int(rng.integers(0, stop - start))
-    block = keys[start:stop]
-    row = block[idx - start]
-    return Keyed(float(row["value"]), int(row["id"]))
+class KeyIndex:
+    """Rank, count and draw queries over one selection run's keys.
+
+    Built once per run from ``keys`` sorted by ``(value, id)``; holds
+    the two columns as Python lists and answers every query with
+    :mod:`bisect`, which on the <= ℓ keys a machine selects over costs
+    a fraction of a NumPy call.  :meth:`rank_leq` agrees with
+    :func:`_rank_leq`, sentinels included.
+    """
+
+    __slots__ = ("keys", "values", "ids")
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self.keys = keys
+        self.values: list[float] = keys["value"].tolist()
+        self.ids: list[int] = keys["id"].tolist()
+
+    def extremes(self) -> tuple[int, Keyed, Keyed]:
+        """Count plus (min, max) keys, with sentinels when empty."""
+        values, ids = self.values, self.ids
+        if not values:
+            return 0, PLUS_INF_KEY, MINUS_INF_KEY
+        return len(values), Keyed(values[0], ids[0]), Keyed(values[-1], ids[-1])
+
+    def rank_leq(self, bound: Keyed) -> int:
+        """|{x : x <= bound}|."""
+        v = bound.value
+        values = self.values
+        if not v < _INF:  # +inf, or NaN, which NumPy sorts above every value
+            return len(values)
+        left = bisect_left(values, v)
+        if left == len(values) or values[left] != v:
+            return left
+        right = bisect_right(values, v, left)
+        return bisect_right(self.ids, bound.id, left, right)
+
+    def count_in(self, lo: Keyed, hi: Keyed) -> int:
+        """|{x : lo < x <= hi}|."""
+        return self.rank_leq(hi) - self.rank_leq(lo)
+
+    def uniform_in_range(self, lo: Keyed, hi: Keyed, rng: np.random.Generator) -> Keyed:
+        """A uniform random key strictly above ``lo`` and at most ``hi``."""
+        start = self.rank_leq(lo)
+        stop = self.rank_leq(hi)
+        if stop <= start:
+            raise ValueError("no points in range; leader accounting is wrong")
+        idx = start + int(rng.integers(0, stop - start))
+        return Keyed(self.values[idx], self.ids[idx])
+
+    def prefix(self, bound: Keyed) -> np.ndarray:
+        """The keys ``<= bound`` (a view of the sorted keys)."""
+        return self.keys[: self.rank_leq(bound)]
 
 
 def selection_subroutine(
@@ -245,29 +273,30 @@ def selection_subroutine(
         # Identical deterministic cut on every machine: drop keys
         # <= lower_bound so the run selects among the remainder only.
         keys = keys[_rank_leq(keys, lower_bound):]
+    index = KeyIndex(keys)
     t_query = tag(prefix, "q")
     t_reply = tag(prefix, "r")
 
     if byz is not None and ctx.k > 1:
         byz.validate(ctx.k)
         if ctx.rank == leader:
-            output = yield from _leader_role_byz(ctx, keys, l, prefix, slack, byz)
+            output = yield from _leader_role_byz(ctx, index, l, prefix, slack, byz)
         else:
-            output = yield from _worker_role_byz(ctx, leader, keys, prefix, byz)
+            output = yield from _worker_role_byz(ctx, leader, index, prefix, byz)
     elif ctx.rank == leader:
         output = yield from _leader_role(
-            ctx, keys, l, t_query, t_reply, slack, timeout_rounds
+            ctx, index, l, t_query, t_reply, slack, timeout_rounds
         )
     else:
         output = yield from _worker_role(
-            ctx, leader, keys, t_query, t_reply, timeout_rounds
+            ctx, leader, index, t_query, t_reply, timeout_rounds
         )
     return output
 
 
 def _leader_role(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     l: int,
     t_query: str,
     t_reply: str,
@@ -286,7 +315,7 @@ def _leader_role(
             replies = []
         counts = np.zeros(k, dtype=np.int64)
         lo, hi = PLUS_INF_KEY, MINUS_INF_KEY
-        n_self, min_self, max_self = _local_extremes(keys)
+        n_self, min_self, max_self = index.extremes()
         counts[ctx.rank] = n_self
         lo = min(lo, min_self)
         hi = max(hi, max_self)
@@ -303,7 +332,7 @@ def _leader_role(
     if s <= remaining * (1.0 + slack) or s == 0:
         boundary = hi if s > 0 else MINUS_INF_KEY
         with ctx.obs.span("sel/finish"):
-            return (yield from _finish_leader(ctx, keys, boundary, t_query, stats))
+            return (yield from _finish_leader(ctx, index, boundary, t_query, stats))
 
     # Active range is (active_lo, active_hi]; everything <= active_lo is
     # already accepted (and subtracted from `remaining`).
@@ -320,7 +349,7 @@ def _leader_role(
             # --- pivot selection: machine i w.p. counts[i] / s ------------
             choice = int(ctx.rng.choice(k, p=counts / s))
             if choice == ctx.rank:
-                pivot = _uniform_in_range(keys, active_lo, active_hi, ctx.rng)
+                pivot = index.uniform_in_range(active_lo, active_hi, ctx.rng)
                 stats.self_pivots += 1
             else:
                 ctx.send(
@@ -339,7 +368,7 @@ def _leader_role(
                     t_query, (OP_COUNT, encode_key(active_lo), encode_key(pivot))
                 )
             below = np.zeros(k, dtype=np.int64)
-            below[ctx.rank] = _count_in(keys, active_lo, pivot)
+            below[ctx.rank] = index.count_in(active_lo, pivot)
             if k > 1:
                 replies = yield from ctx.recv(t_reply, k - 1, max_rounds=timeout_rounds)
                 for msg in replies:
@@ -366,12 +395,12 @@ def _leader_role(
                 boundary = active_hi
 
     with ctx.obs.span("sel/finish"):
-        return (yield from _finish_leader(ctx, keys, boundary, t_query, stats))
+        return (yield from _finish_leader(ctx, index, boundary, t_query, stats))
 
 
 def _finish_leader(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     boundary: Keyed,
     t_query: str,
     stats: SelectionStats,
@@ -379,7 +408,7 @@ def _finish_leader(
     if ctx.k > 1:
         ctx.broadcast(t_query, (OP_FINISHED, encode_key(boundary)))
         yield  # the broadcast's round
-    selected = keys[: _rank_leq(keys, boundary)]
+    selected = index.prefix(boundary)
     return SelectionOutput(
         selected=selected, boundary=boundary, is_leader=True, stats=stats
     )
@@ -388,12 +417,12 @@ def _finish_leader(
 def _worker_role(
     ctx: MachineContext,
     leader: int,
-    keys: np.ndarray,
+    index: KeyIndex,
     t_query: str,
     t_reply: str,
     timeout_rounds: int | None = None,
 ) -> Generator[None, None, SelectionOutput]:
-    n, kmin, kmax = _local_extremes(keys)
+    n, kmin, kmax = index.extremes()
     with ctx.obs.span("sel/serve"):
         # lint: bound[log] — one op per leader iteration, O(log s) w.h.p.
         while True:
@@ -408,15 +437,15 @@ def _worker_role(
             elif op == OP_PICK:
                 lo = decode_key(msg.payload[1])
                 hi = decode_key(msg.payload[2])
-                pivot = _uniform_in_range(keys, lo, hi, ctx.rng)
+                pivot = index.uniform_in_range(lo, hi, ctx.rng)
                 ctx.send(leader, t_reply, (OP_PICK, encode_key(pivot)))
             elif op == OP_COUNT:
                 lo = decode_key(msg.payload[1])
                 p = decode_key(msg.payload[2])
-                ctx.send(leader, t_reply, (OP_COUNT, _count_in(keys, lo, p)))
+                ctx.send(leader, t_reply, (OP_COUNT, index.count_in(lo, p)))
             elif op == OP_FINISHED:
                 boundary = decode_key(msg.payload[1])
-                selected = keys[: _rank_leq(keys, boundary)]
+                selected = index.prefix(boundary)
                 return SelectionOutput(
                     selected=selected, boundary=boundary, is_leader=False, stats=None
                 )
@@ -478,7 +507,7 @@ def _validated_pivot(payload, lo: Keyed, hi: Keyed) -> Keyed | None:
 
 def _leader_role_byz(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     l: int,
     prefix: str,
     slack: float,
@@ -503,7 +532,7 @@ def _leader_role_byz(
         ctx.broadcast(t_query, (OP_INIT,))
         resolved = yield from gather_quorum(ctx, cfg, t_gv(0), t_ge(0), tracker)
         counts = np.zeros(k, dtype=np.int64)
-        n_self, min_self, max_self = _local_extremes(keys)
+        n_self, min_self, max_self = index.extremes()
         counts[ctx.rank] = n_self
         lo, hi = min_self, max_self
         for j, payload in resolved.items():
@@ -527,7 +556,7 @@ def _leader_role_byz(
         stats.accepted_counts = accepted
         with ctx.obs.span("sel/finish"):
             return (
-                yield from _finish_leader_byz(ctx, keys, boundary, prefix, stats, cfg)
+                yield from _finish_leader_byz(ctx, index, boundary, prefix, stats, cfg)
             )
 
     active_lo = MINUS_INF_KEY
@@ -583,7 +612,7 @@ def _leader_role_byz(
             before = (active_lo, active_hi, s, remaining)
             if choice == ctx.rank:
                 try:
-                    pivot = _uniform_in_range(keys, active_lo, active_hi, ctx.rng)
+                    pivot = index.uniform_in_range(active_lo, active_hi, ctx.rng)
                 except ValueError:
                     # Own in-range count was poisoned by forged extremes;
                     # burn the iteration (the cap bounds the damage).
@@ -613,7 +642,7 @@ def _leader_role_byz(
                 ctx, cfg, t_gv(gather_idx), t_ge(gather_idx), tracker
             )
             below = np.zeros(k, dtype=np.int64)
-            below[ctx.rank] = _count_in(keys, active_lo, pivot)
+            below[ctx.rank] = index.count_in(active_lo, pivot)
             for j, payload in resolved.items():
                 count = _parse_count(payload)
                 if count is None:
@@ -651,12 +680,12 @@ def _leader_role_byz(
 
     stats.accepted_counts = accepted
     with ctx.obs.span("sel/finish"):
-        return (yield from _finish_leader_byz(ctx, keys, boundary, prefix, stats, cfg))
+        return (yield from _finish_leader_byz(ctx, index, boundary, prefix, stats, cfg))
 
 
 def _finish_leader_byz(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     boundary: Keyed,
     prefix: str,
     stats: SelectionStats,
@@ -664,7 +693,7 @@ def _finish_leader_byz(
 ) -> Generator[None, None, SelectionOutput]:
     ctx.broadcast(tag(prefix, "q"), (OP_FINISHED, encode_key(boundary)))
     yield
-    selected = keys[: _rank_leq(keys, boundary)]
+    selected = index.prefix(boundary)
     return SelectionOutput(
         selected=selected, boundary=boundary, is_leader=True, stats=stats
     )
@@ -673,14 +702,14 @@ def _finish_leader_byz(
 def _worker_role_byz(
     ctx: MachineContext,
     leader: int,
-    keys: np.ndarray,
+    index: KeyIndex,
     prefix: str,
     cfg: ByzConfig,
 ) -> Generator[None, None, SelectionOutput]:
     tracker = suspicions(ctx)
     t_query = tag(prefix, "q")
     t_sus = tag(prefix, "sus")
-    n, kmin, kmax = _local_extremes(keys)
+    n, kmin, kmax = index.extremes()
     gather_idx = 0
     pending: deque = deque()
     waited = 0
@@ -723,7 +752,7 @@ def _worker_role_byz(
                     tracker.accuse(leader, "malformed pick request")
                     continue
                 try:
-                    pivot_wire = encode_key(_uniform_in_range(keys, lo, hi, ctx.rng))
+                    pivot_wire = encode_key(index.uniform_in_range(lo, hi, ctx.rng))
                 except ValueError:
                     # Nothing of mine in the (possibly forged) range; a
                     # None reply lets the leader strike rather than stall.
@@ -733,7 +762,7 @@ def _worker_role_byz(
                 try:
                     lo = decode_key(payload[1])
                     p = decode_key(payload[2])
-                    count = _count_in(keys, lo, p)
+                    count = index.count_in(lo, p)
                 except (TypeError, ValueError, IndexError):
                     tracker.accuse(leader, "malformed count request")
                     count = 0
@@ -762,7 +791,7 @@ def _worker_role_byz(
                 for msg in ctx.take(t_sus, src=leader):
                     if isinstance(msg.payload, SuspicionNotice):
                         tracker.fold_notice(msg.payload)
-                selected = keys[: _rank_leq(keys, boundary)]
+                selected = index.prefix(boundary)
                 return SelectionOutput(
                     selected=selected, boundary=boundary, is_leader=False, stats=None
                 )

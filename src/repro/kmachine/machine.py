@@ -34,7 +34,7 @@ from .errors import AddressError, PeerCrashedError, ProtocolError
 from .message import Message
 from .sizing import SizingPolicy
 
-__all__ = ["MachineContext", "Program", "FunctionProgram", "NullObs", "NULL_OBS"]
+__all__ = ["MachineContext", "Program", "FunctionProgram", "NullObs", "NULL_OBS", "Wait"]
 
 
 class _NullSpan:
@@ -77,6 +77,23 @@ class NullObs:
 
 #: Shared stateless singleton used as every context's default ``obs``.
 NULL_OBS = NullObs()
+
+
+class Wait:
+    """Token a short :meth:`MachineContext.recv` yields to end its round.
+
+    ``tag`` is the tag it waits on and ``deadline`` the round at which
+    its ``max_rounds`` budget expires (``None``: no budget).  A round
+    driver that keeps a machine's last token may skip resuming it
+    while :meth:`MachineContext.can_progress` is false; a driver that
+    ignores tokens and resumes every round is equally correct.
+    """
+
+    __slots__ = ("tag", "deadline")
+
+    def __init__(self, tag: str, deadline: int | None) -> None:
+        self.tag = tag
+        self.deadline = deadline
 
 
 class MachineContext:
@@ -160,10 +177,7 @@ class MachineContext:
         if not 0 <= dst < self.k:
             raise AddressError(f"destination {dst} outside [0, {self.k})")
         bits = self.sizing.measure(payload) + self.sizing.header_bits
-        self._outbox.append(
-            Message(src=self.rank, dst=dst, tag=tag, payload=payload, bits=bits,
-                    sent_round=self.round)
-        )
+        self._outbox.append(Message(self.rank, dst, tag, payload, bits, self.round))
         self.sent_messages += 1
         self.sent_bits += bits
 
@@ -172,11 +186,18 @@ class MachineContext:
 
         On the complete topology of the k-machine model a broadcast is
         one round and ``k - 1`` messages, exactly as the paper charges
-        for the leader's query messages.
+        for the leader's query messages.  The payload is sized once and
+        the messages are queued in ascending destination order, exactly
+        as ``k - 1`` calls to :meth:`send` would queue them.
         """
+        rank, rnd = self.rank, self.round
+        bits = self.sizing.measure(payload) + self.sizing.header_bits
+        outbox = self._outbox
         for dst in range(self.k):
-            if dst != self.rank:
-                self.send(dst, tag, payload)
+            if dst != rank:
+                outbox.append(Message(rank, dst, tag, payload, bits, rnd))
+        self.sent_messages += self.k - 1
+        self.sent_bits += (self.k - 1) * bits
 
     def send_to_many(self, dsts: Iterable[int], tag: str, payload: Any = None) -> None:
         """Send the same payload to each destination rank in ``dsts``."""
@@ -262,17 +283,36 @@ class MachineContext:
         self._pending_count = 0
         return dropped
 
+    def can_progress(self, tag: str, deadline: int | None) -> bool:
+        """Whether resuming a receive parked on ``tag`` could change anything.
+
+        True once a message with ``tag`` is buffered, a crash notice has
+        arrived, or the round clock has reached ``deadline`` (``None``
+        never expires).  Round drivers read it from a :class:`Wait`
+        token to skip machines that would only re-yield; it is a hint,
+        so resuming a machine regardless is always correct.
+        """
+        return (
+            tag in self._inbox
+            or bool(self.crashed_peers)
+            or (deadline is not None and self.round >= deadline)
+        )
+
     def recv(
         self, tag: str, count: int, src: int | None = None, max_rounds: int | None = None
-    ) -> Generator[None, None, list[Message]]:
+    ) -> Generator[Any, None, list[Message]]:
         """Generator: wait until ``count`` messages with ``tag`` arrive.
 
         Use as ``msgs = yield from ctx.recv("reply", k - 1)``.  Each
-        iteration that comes up short ends the round with a ``yield``.
-        ``max_rounds`` bounds the wait (raising :class:`ProtocolError`
-        on expiry); protocols pass a timeout when they want
-        missed-heartbeat-style failure detection, otherwise they rely
-        on the simulator's global ``max_rounds`` deadlock guard.
+        iteration that comes up short ends the round by yielding a
+        :class:`Wait` token, which a round driver may use to skip this
+        machine until :meth:`can_progress` holds.  ``max_rounds``
+        bounds the wait in rounds of the round clock (raising
+        :class:`ProtocolError` once ``ctx.round`` is ``max_rounds``
+        past the round the receive started); protocols pass a timeout
+        when they want missed-heartbeat-style failure detection,
+        otherwise they rely on the simulator's global ``max_rounds``
+        deadlock guard.
 
         Crash awareness: if a crash notification has arrived (see
         :meth:`notice_crash`) and the receive is still short, waiting
@@ -283,7 +323,9 @@ class MachineContext:
         for the supervisor to handle.
         """
         got = self.take(tag, src)
-        waited = 0
+        start = self.round
+        deadline = None if max_rounds is None else start + max_rounds
+        wait = Wait(tag, deadline)
         while len(got) < count:
             if self.crashed_peers and (src is None or src in self.crashed_peers):
                 raise PeerCrashedError(
@@ -291,12 +333,11 @@ class MachineContext:
                     self.crashed_peers,
                     f"waiting for {count} {tag!r} messages, have {len(got)}",
                 )
-            yield
-            waited += 1
-            if max_rounds is not None and waited >= max_rounds:
+            yield wait
+            if deadline is not None and self.round >= deadline:
                 raise ProtocolError(
-                    f"machine {self.rank} waited {waited} rounds for {count} "
-                    f"{tag!r} messages but only has {len(got)}"
+                    f"machine {self.rank} waited {self.round - start} rounds for "
+                    f"{count} {tag!r} messages but only has {len(got)}"
                 )
             got.extend(self.take(tag, src))
         if len(got) > count:
@@ -307,7 +348,7 @@ class MachineContext:
 
     def recv_one(
         self, tag: str, src: int | None = None, max_rounds: int | None = None
-    ) -> Generator[None, None, Message]:
+    ) -> Generator[Any, None, Message]:
         """Generator: wait for exactly one message with ``tag``."""
         msgs = yield from self.recv(tag, 1, src=src, max_rounds=max_rounds)
         return msgs[0]

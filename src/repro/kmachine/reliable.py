@@ -237,6 +237,12 @@ class ReliableMachineContext(MachineContext):
         super().send(dst, tag, Envelope(seq, checksum, payload))
         self._unacked[(dst, seq)] = _Pending(self._outbox[-1], self.round)
 
+    def broadcast(self, tag: str, payload: Any = None) -> None:
+        """One enveloped :meth:`send` per peer (each has its own sequence)."""
+        for dst in range(self.k):
+            if dst != self.rank:
+                self.send(dst, tag, payload)
+
     def drain_outbox(self) -> list[Message]:
         """Retransmit overdue unacknowledged messages, then drain."""
         cfg = self.reliability

@@ -7,7 +7,9 @@ loop.  One loop iteration is one synchronous round:
 1. messages that finished transmission last round are delivered to
    destination buffers;
 2. every still-running machine's program generator is resumed once
-   (its local computation for the round, optionally timed);
+   (its local computation for the round, optionally timed), except a
+   machine whose last :class:`~repro.kmachine.machine.Wait` says its
+   receive cannot progress yet;
 3. messages queued by :meth:`MachineContext.send` are submitted to the
    network, which drains each link at ``B`` bits per round.
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import DeadlockError, FaultError, ProtocolError
 from .faults import ByzantinePlan, FaultInjector, FaultPlan
-from .machine import MachineContext, Program
+from .machine import MachineContext, Program, Wait
 from .message import Message
 from .metrics import Metrics, RoundRecord
 from .network import BandwidthPolicy, Network
@@ -317,6 +319,8 @@ class Simulator:
         if injector is not None:
             injector.bind(metrics, self.tracer)
         deliveries: dict[int, list[Message]] = {}
+        # each machine's last yielded token (a Wait, or None for a bare yield)
+        waits: list[Wait | None] = [None] * self.k
         staged_notices: list[int] = self._staged_notices
         self._staged_notices = []
         alive = sum(1 for g in generators if g is not None)
@@ -386,16 +390,21 @@ class Simulator:
                                 round_idx, "deliver", machine=dst, src=m.src, tag=m.tag
                             )
 
-                # 2. step every running machine once (logically concurrent)
+                # 2. step every running machine once (logically concurrent);
+                # a machine parked on a receive that cannot progress would
+                # only re-yield, so it is skipped
                 compute_max = 0.0
                 for rank, gen in enumerate(generators):
                     if gen is None:
                         continue
                     ctx = self.contexts[rank]
                     ctx.round = round_idx
+                    wait = waits[rank]
+                    if wait is not None and not ctx.can_progress(wait.tag, wait.deadline):
+                        continue
                     started = time.perf_counter() if self.measure_compute else 0.0
                     try:
-                        next(gen)
+                        waits[rank] = next(gen)
                     except StopIteration as stop:
                         outputs[rank] = stop.value
                         if stop.value is not None:
@@ -418,21 +427,22 @@ class Simulator:
                 sent_msgs = 0
                 sent_bits = 0
                 profiling = self.profile
+                submit = self.network.submit
+                record_send = metrics.record_send
+                tracing = self.tracer.enabled
                 for rank, ctx in enumerate(self.contexts):
                     if rank in self.crashed_ranks:
                         continue
                     ctx.round = round_idx
                     for msg in ctx.drain_outbox():
-                        self.network.submit(msg)
+                        submit(msg)
                         if profiling:
-                            metrics.record_send(
-                                msg.tag, msg.bits, src=msg.src, dst=msg.dst
-                            )
+                            record_send(msg.tag, msg.bits, src=msg.src, dst=msg.dst)
                         else:
-                            metrics.record_send(msg.tag, msg.bits)
+                            record_send(msg.tag, msg.bits)
                         sent_msgs += 1
                         sent_bits += msg.bits
-                        if self.tracer.enabled:
+                        if tracing:
                             self.tracer.record(
                                 round_idx, "send", machine=msg.src, dst=msg.dst,
                                 tag=msg.tag,

@@ -61,17 +61,29 @@ class SizingPolicy:
 
 
 def _measure(obj: Any, policy: SizingPolicy) -> int:
-    # Fast path on the exact types protocols send most; ``bool``, NumPy
-    # scalars and subclasses fall through to the isinstance chain below.
+    # Fast path on the exact types protocols send most — opcode strings
+    # and one level of nested tuples, as in ``("count", (v, id), (v, id))``
+    # — with the same charges as the rules below.  ``bool``, NumPy
+    # scalars and subclasses fall through to the isinstance chain.
     cls = type(obj)
+    word = policy.word_bits
     if cls is int or cls is float:
-        return policy.word_bits
+        return word
     if cls is tuple or cls is list:
         total = 0
         for item in obj:
             item_cls = type(item)
             if item_cls is int or item_cls is float:
-                total += policy.word_bits
+                total += word
+            elif item_cls is str:
+                total += 8 * len(item)
+            elif item_cls is tuple:
+                for sub in item:
+                    sub_cls = type(sub)
+                    if sub_cls is int or sub_cls is float:
+                        total += word
+                    else:
+                        total += _measure(sub, policy)
             else:
                 total += _measure(item, policy)
         return total

@@ -52,7 +52,7 @@ from ..kmachine.byz import (
 )
 from ..kmachine.errors import FaultError
 from ..kmachine.faults import ByzantinePlan
-from ..kmachine.machine import MachineContext, Program
+from ..kmachine.machine import MachineContext, Program, Wait
 from ..kmachine.metrics import Metrics
 from ..kmachine.simulator import Simulator
 from ..points.dataset import Dataset, make_dataset
@@ -221,14 +221,19 @@ class ServeBatchProgram(Program):
         ]
         done: list[tuple[KNNOutput, int] | None] = [None] * len(queries)
         pending: list[Generator[None, None, KNNOutput] | None] = list(queries)
+        # each query's last yielded token: a Wait, or None for a bare yield
+        waits: list[Wait | None] = [None] * len(queries)
         remaining = len(pending)
         with ctx.obs.span(tag("serve", "batch", self.batch_index)):
             while remaining:
                 for i, gen in enumerate(pending):
                     if gen is None:
                         continue
+                    wait = waits[i]
+                    if wait is not None and not ctx.can_progress(wait.tag, wait.deadline):
+                        continue  # parked on a receive that would only re-yield
                     try:
-                        next(gen)
+                        waits[i] = next(gen)
                     except StopIteration as stop:
                         done[i] = (stop.value, ctx.round)
                         pending[i] = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.selection import SelectionProgram, _count_in, _rank_leq
+from repro.core.selection import KeyIndex, SelectionProgram, _rank_leq
 from repro.kmachine import Simulator
 from repro.points.ids import Keyed, keyed_array
 
@@ -62,7 +62,7 @@ class TestRankHelpers:
 
     def test_count_in_half_open(self):
         keys = keyed_array([1.0, 2.0, 3.0, 4.0], [1, 2, 3, 4])
-        assert _count_in(keys, Keyed(1.0, 1), Keyed(3.0, 3)) == 2  # (1,3]
+        assert KeyIndex(keys).count_in(Keyed(1.0, 1), Keyed(3.0, 3)) == 2  # (1,3]
 
     def test_empty_keys(self):
         keys = keyed_array([], [])

@@ -127,10 +127,14 @@ class TestReceiving:
             next(gen)
 
     def test_recv_max_rounds_guard(self):
+        # max_rounds counts rounds of the clock, which every round driver
+        # advances by one per resume
         ctx = ctx_pair()[0]
         gen = ctx.recv("r", 1, max_rounds=2)
         next(gen)
+        ctx.round += 1
         next(gen)
+        ctx.round += 1
         with pytest.raises(ProtocolError):
             next(gen)
 

@@ -103,6 +103,14 @@ class _Ratio(float):
     pass
 
 
+class _Opcode(str):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
 #: Bits of every payload shape the protocols send, pinned so the
 #: exact-type fast path in ``_measure`` can never drift from the
 #: isinstance rules (bools and NumPy scalars are not plain int/float).
@@ -128,6 +136,12 @@ PINNED_BITS = [
     ("bool ndarray", np.zeros(7, dtype=bool), 7),
     ("ndarray in tuple", (np.arange(3), 1.5), 256),
     ("list of Keyed", [Keyed(0.1, 1), Keyed(0.2, 2)], 256),
+    ("count query", ("count", (0.5, 3), (0.7, 9)), 296),
+    ("count reply", ("count", 5), 104),
+    ("init reply", ("init", 5, (0.1, 1), (0.9, 2)), 352),
+    ("str subclass in tuple", (_Opcode("pick"), 1.0), 96),
+    ("tuple subclass in tuple", ("pick", _Pair((0.5, 3))), 160),
+    ("non-word items in inner tuples", ((True, None), ("ab", 2)), 82),
 ]
 
 

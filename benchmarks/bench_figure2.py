@@ -7,8 +7,9 @@ grows with ℓ and with k, reaching ≈80× at 128 cores.
 Here: the same grid on the simulator's measured-compute + α–β–γ cost
 model (DESIGN.md documents the substitution).  The assertions pin the
 *shape* — the ratio rises with ℓ, Algorithm 2 wins at the large-(k, ℓ)
-corner, the simple method wins the small-ℓ corner (the crossover the
-round complexities imply) — not the paper's absolute 80×, which is
+corner, and in its exact regime (ℓ ≤ 12⌈log₂ℓ⌉, where it certifies a
+bound and ships at most ℓ keys per link) it costs no more rounds than
+the simple method — not the paper's absolute 80×, which is
 testbed-specific.  The full table + ASCII chart land in
 ``benchmarks/results/figure2.txt``.
 
@@ -46,13 +47,20 @@ def test_figure2_grid(benchmark, save_report):
     save_report("figure2", result.report() + "\n\n" + result.csv())
 
     by_cell = {(c.k, c.l): c.ratio.mean for c in result.cells}
-    # Shape 1: ratio increases with l at every k.
+    # Shape 1: over the sampled regime (l > 12 log2 l) the ratio
+    # increases with l at every k.  Below it Algorithm 2 runs its exact
+    # certificate-and-cut protocol, which is no longer the slow end of
+    # the curve.
     for k in GRID.k_values:
-        assert by_cell[(k, 1024)] > by_cell[(k, 16)], f"no l-growth at k={k}"
+        assert by_cell[(k, 1024)] > by_cell[(k, 256)], f"no l-growth at k={k}"
     # Shape 2: Algorithm 2 wins the large corner...
     assert by_cell[(128, 1024)] > 1.5
-    # ...and loses the small-l corner (the crossover exists).
-    assert by_cell[(2, 16)] < 1.0
+    # ...and in its exact regime (l <= 12 log2 l) costs no more rounds
+    # than the simple method at any k.
+    for k in GRID.k_values:
+        for l in (16, 64):
+            cell = next(c for c in result.cells if (c.k, c.l) == (k, l))
+            assert cell.sampled_rounds <= cell.simple_rounds, (k, l)
     # Shape 3: at the largest l, more machines never shrink the gap
     # below its small-k level by much (k-robustness of the win).
     assert by_cell[(128, 1024)] > 0.8 * by_cell[(2, 1024)]

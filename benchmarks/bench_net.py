@@ -73,7 +73,9 @@ def test_net_backend(results_dir):
     sim = None
     for _ in range(REPS):
         sim = _direct_knn_run()
-        walls.append(sim.wall_seconds)
+        # The round barriers only: program and shard shipping at the
+        # episode's start is not a transport cost the model prices.
+        walls.append(sim.round_seconds)
     assert sim is not None
     predicted = predicted_wall_seconds(model, sim.metrics)
     measured = min(walls)  # min over reps strips scheduler noise
@@ -111,7 +113,8 @@ def test_net_backend(results_dir):
             "rounds": sim.metrics.rounds,
             "messages": sim.metrics.messages,
             "bits": sim.metrics.bits,
-            "wall_seconds_best": round(measured, 4),
+            "round_seconds_best": round(measured, 4),
+            "wall_seconds": round(sim.wall_seconds, 4),
             "predicted_seconds": round(predicted, 4),
         },
         "model_ratio": round(model_ratio, 4),

@@ -28,6 +28,33 @@ The sampling constants (12 and 21) are the proof's choices; both are
 constructor parameters so the ablation benchmarks can probe how much
 slack the analysis leaves.
 
+Exact regime.  A machine holds at most ``ℓ`` candidates, so when
+``ℓ ≤ sample_factor·⌈log₂ ℓ⌉`` (every ℓ ≤ 84 at the default 12) the
+stage-3 "sample" is the whole candidate set and the leader already
+holds a superset of the answer.  There — plain mode (``byz is None``),
+``prune=True``, ``k > 1`` — stages 3–6 become a deterministic protocol:
+
+* *certificate*: machine ``i`` sends one message, ``c_i = min(⌈ℓ/k⌉,
+  |S_i|)`` and its key at local rank ``c_i``;
+* *bound*: the leader sorts the reports and broadcasts ``τ``, the first
+  reported key at which the running sum of ``c_i`` reaches ℓ (+∞ if it
+  never does) — every machine reported at or below ``τ`` holds its
+  ``c_i`` keys there, so at least ℓ keys lie at or below ``τ``;
+* *ship and cut* (:func:`ship_and_cut`): every worker sends its count
+  and its keys ``≤ τ``; the leader cuts the union at rank ℓ and
+  broadcasts that key as the final boundary.
+
+No sample, no safe-check round trip, no Algorithm 1 loop.  Each link
+carries at most ℓ ≤ ``sample_factor·⌈log₂ ℓ⌉`` keys plus four control
+messages, so Theorem 2.4's ``O(log ℓ)`` rounds and ``O(k log ℓ)``
+messages still hold.  A warm threshold runs only the ship-and-cut step
+with ``τ`` set to it; if fewer than ℓ keys arrive, safe mode re-runs
+the certificate and ``safe_mode=False`` returns the short answer.  The
+sampled path stays above the regime, under Byzantine plans and for
+``prune=False``: under adversarial placement a certified ``τ`` can let
+ℓ keys per machine through, which only the regime's ``ℓ = O(log ℓ)``
+keeps within the bill.
+
 Failure handling: with probability ≤ 2/ℓ² the threshold ``r`` cuts
 below the true ℓ-th neighbor and the output would be short.  With
 ``safe_mode=True`` the leader counts survivors before selecting (one
@@ -56,13 +83,21 @@ from ..kmachine.byz import (
 )
 from ..kmachine.machine import MachineContext, Program
 from ..points.dataset import Shard
-from ..points.ids import PLUS_INF_KEY, Keyed
+from ..points.ids import MINUS_INF_KEY, PLUS_INF_KEY, Keyed
 from ..points.metrics import Metric, get_metric
 from .leader import elect
 from .messages import decode_key, encode_key, log2_ceil, tag
 from .selection import SelectionStats, _rank_leq, selection_subroutine
 
-__all__ = ["KNNOutput", "KNNProgram", "knn_output", "knn_subroutine", "local_candidates"]
+__all__ = [
+    "KNNOutput",
+    "KNNProgram",
+    "exact_regime",
+    "knn_output",
+    "knn_subroutine",
+    "local_candidates",
+    "ship_and_cut",
+]
 
 _KEY_DTYPE = [("value", "f8"), ("id", "i8")]
 _ID_MIN, _ID_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -91,10 +126,11 @@ class KNNOutput:
         Whether this machine ran the leader role.
     survivors:
         Global candidate count that entered the selection stage
-        (leader only; the Lemma 2.3 quantity, ≤ 11ℓ w.h.p.).
+        (leader only; the Lemma 2.3 quantity, ≤ 11ℓ w.h.p.).  In the
+        exact regime: the keys shipped to the leader's cut.
     sampled:
         Number of sampled keys the leader based the threshold on
-        (leader only).
+        (leader only; in the exact regime, the certificate reports).
     threshold:
         The broadcast pruning key ``r`` (leader only; ``None`` when
         pruning was disabled).
@@ -237,6 +273,181 @@ def _safe_check_byz(
     return bool(verdict)
 
 
+def _safe_check(
+    ctx: MachineContext,
+    leader: int,
+    prefix: str,
+    n_working: int,
+    l: int,
+    timeout_rounds: int | None,
+    byz: ByzConfig | None,
+) -> Generator[None, None, bool]:
+    """Safe mode: did at least ``l`` candidates survive the prune?
+
+    One survivor-count gather and one go/no-go broadcast; returns the
+    fallback verdict (True: re-run on the unpruned candidates).
+    """
+    with ctx.obs.span("safe-check"):
+        if byz is not None:
+            return (yield from _safe_check_byz(ctx, leader, byz, prefix, n_working, l))
+        t_scount = tag(prefix, "scount")
+        t_go = tag(prefix, "go")
+        if ctx.rank == leader:
+            msgs = yield from ctx.recv(t_scount, ctx.k - 1, max_rounds=timeout_rounds)
+            fallback = n_working + sum(m.payload for m in msgs) < l
+            ctx.broadcast(t_go, fallback)
+            yield
+            return fallback
+        else:
+            ctx.send(leader, t_scount, n_working)
+            msg = yield from ctx.recv_one(t_go, src=leader, max_rounds=timeout_rounds)
+            return bool(msg.payload)
+
+
+def exact_regime(l: int, sample_factor: int = 12) -> bool:
+    """Whether stage 3's sample would already hold every candidate.
+
+    A machine keeps at most ``l`` candidates and would send
+    ``sample_factor·⌈log₂ l⌉`` samples; when that is at least ``l``
+    (every ``l <= 84`` at the default 12) :func:`knn_subroutine`
+    replaces stages 3–6 with :func:`_certify` and :func:`ship_and_cut`.
+    """
+    return l <= sample_factor * max(1, log2_ceil(l))
+
+
+def _certify(
+    ctx: MachineContext,
+    leader: int,
+    keys: np.ndarray,
+    l: int,
+    *,
+    prefix: str,
+    timeout_rounds: int | None = None,
+) -> Generator[None, None, tuple[Keyed, int | None]]:
+    """Rank certificate: a bound with at least ``l`` keys at or below it.
+
+    Machine ``i`` reports ``c_i = min(⌈l/k⌉, |S_i|)`` and its key at
+    local rank ``c_i``, so it holds exactly ``c_i`` keys at or below
+    that key.  The leader sorts the reports and broadcasts ``τ``, the
+    first reported key at which the running sum of ``c_i`` reaches
+    ``l`` (every machine reported at or below ``τ`` contributes its
+    ``c_i``), or +∞ when the sum never does.  Returns ``(τ, reports)``;
+    the report count is the leader's (``None`` on workers).
+    """
+    t_cert = tag(prefix, "cert")
+    t_tau = tag(prefix, "tau")
+    c = min(-(-l // ctx.k), len(keys))
+    if c:
+        row = keys[c - 1]
+        mine = (c, float(row["value"]), int(row["id"]))
+    else:
+        mine = (0, PLUS_INF_KEY.value, PLUS_INF_KEY.id)
+    if ctx.rank == leader:
+        with ctx.obs.span("sampling"):
+            msgs = yield from ctx.recv(t_cert, ctx.k - 1, max_rounds=timeout_rounds)
+            reports = sorted(
+                (value, id_, count)
+                for count, value, id_ in [mine] + [m.payload for m in msgs]
+                if count
+            )
+        with ctx.obs.span("threshold"):
+            if not reports:
+                raise ValueError("no machine holds any point; cannot answer query")
+            tau = PLUS_INF_KEY
+            total = 0
+            for value, id_, count in reports:
+                total += count
+                if total >= l:
+                    tau = Keyed(value, id_)
+                    break
+            ctx.broadcast(t_tau, encode_key(tau))
+            yield  # the broadcast's round (nothing can arrive sooner)
+        return tau, len(reports)
+    else:
+        with ctx.obs.span("sampling"):
+            ctx.send(leader, t_cert, mine)
+            yield  # the report's round (the bound cannot arrive sooner)
+        with ctx.obs.span("threshold"):
+            msg = yield from ctx.recv_one(t_tau, src=leader, max_rounds=timeout_rounds)
+        return decode_key(msg.payload), None
+
+
+def ship_and_cut(
+    ctx: MachineContext,
+    leader: int,
+    keys: np.ndarray,
+    l: int,
+    *,
+    bound: Keyed = PLUS_INF_KEY,
+    pace: bool = False,
+    repair: bool = False,
+    prefix: str,
+    timeout_rounds: int | None = None,
+) -> Generator[None, None, tuple[Keyed | None, int | None]]:
+    """Gather every machine's keys ``<= bound`` and cut them at rank ``l``.
+
+    ``keys`` is this machine's sorted candidate array.  Each worker
+    sends its count of keys ``<= bound``, then those keys one
+    ``(value, id)`` per message (bursting them into the link queue, or
+    one per round with ``pace=True``), and waits for the verdict.  The
+    leader merges the union with its own keys and broadcasts the
+    ``l``-th smallest — the largest when fewer arrived, ``MINUS_INF_KEY``
+    when none did — as the global boundary.  With ``repair=True`` a
+    union short of ``l`` keys means ``bound`` was unsafe: the leader
+    broadcasts ``None`` instead and every machine returns ``None``, so
+    the caller can re-run without the bound.
+
+    The simple method calls this with ``bound`` = +∞;
+    :func:`knn_subroutine` calls it with a certified or carried bound.
+    Returns ``(boundary, union size)``; the size is the leader's
+    (``None`` on workers).
+    """
+    t_count = tag(prefix, "n")
+    t_cand = tag(prefix, "cand")
+    t_done = tag(prefix, "done")
+    mine = keys[: _rank_leq(keys, bound)]
+    if ctx.rank == leader:
+        with ctx.obs.span("gather"):
+            count_msgs = yield from ctx.recv(t_count, ctx.k - 1, max_rounds=timeout_rounds)
+            expected = sum(m.payload for m in count_msgs)
+            cand_msgs = yield from ctx.recv(t_cand, expected, max_rounds=timeout_rounds)
+        with ctx.obs.span("merge"):
+            merged = np.concatenate(
+                [np.array([m.payload for m in cand_msgs], dtype=_KEY_DTYPE), mine]
+            )
+            merged.sort(order=("value", "id"))
+            size = len(merged)
+            boundary: Keyed | None
+            if repair and size < l:
+                boundary = None
+            elif size:
+                row = merged[min(l, size) - 1]
+                boundary = Keyed(float(row["value"]), int(row["id"]))
+            else:
+                boundary = MINUS_INF_KEY
+        with ctx.obs.span("boundary"):
+            ctx.broadcast(t_done, None if boundary is None else encode_key(boundary))
+            yield
+        return boundary, size
+    else:
+        # The count and the keys share the machine->leader link, so the
+        # bandwidth queue charges one round per link-load of keys.
+        with ctx.obs.span("ship-candidates"):
+            ctx.send(leader, t_count, len(mine))
+            if pace:
+                yield
+            # |mine| <= l, and Algorithm 2 ships only where
+            # l <= sample_factor*log l (exact_regime).
+            # lint: bound[log] — at most sample_factor*log l keys per link
+            for pair in mine.tolist():  # (value, id): encode_key's wire form
+                ctx.send(leader, t_cand, pair)
+                if pace:
+                    yield
+        with ctx.obs.span("boundary"):
+            msg = yield from ctx.recv_one(t_done, src=leader, max_rounds=timeout_rounds)
+        return (None if msg.payload is None else decode_key(msg.payload)), None
+
+
 def knn_subroutine(
     ctx: MachineContext,
     leader: int,
@@ -262,21 +473,27 @@ def knn_subroutine(
     variant the paper mentions before introducing sampling; kept as an
     ablation arm.
 
+    In the exact regime (:func:`exact_regime`; plain mode, ``prune``,
+    ``k > 1``) stages 3–6 are the certificate and ship-and-cut steps of
+    the module docs.
+
     ``threshold`` (a distance key every machine already knows, e.g. a
     triangle-inequality bound carried over from a previous query by
     :class:`repro.core.monitor.MovingKNNMonitor`) replaces the
     sampling stages entirely: machines prune to keys ≤ ``threshold``
-    and selection runs on the survivors.  The caller is responsible
-    for the threshold being *safe* (at least ℓ global keys below it);
+    and selection runs on the survivors (in the exact regime: the
+    leader cuts their union).  The caller is responsible for the
+    threshold being *safe* (at least ℓ global keys below it);
     ``safe_mode`` still verifies and repairs if it is not.
 
-    ``pace_samples=True`` sends one sample per link per round instead
-    of bursting them into the link queue — the literal reading of the
-    paper's "step 4 takes O(log ℓ) rounds", and the mode that runs
-    under the simulator's ``strict`` bandwidth policy (each link then
-    carries exactly one O(log n)-bit message per round).  Rounds and
-    messages are asymptotically identical either way; bursting simply
-    lets a wider ``B`` pack several samples per round.
+    ``pace_samples=True`` sends one sample (in the exact regime: one
+    shipped key) per link per round instead of bursting them into the
+    link queue — the literal reading of the paper's "step 4 takes
+    O(log ℓ) rounds", and the mode that runs under the simulator's
+    ``strict`` bandwidth policy (each link then carries exactly one
+    O(log n)-bit message per round).  Rounds and messages are
+    asymptotically identical either way; bursting simply lets a wider
+    ``B`` pack several samples per round.
 
     ``timeout_rounds`` bounds every protocol receive (missed-heartbeat
     failure detection; see
@@ -312,35 +529,52 @@ def knn_subroutine(
     fallback = False
     is_leader = ctx.rank == leader
 
+    if byz is None and prune and ctx.k > 1 and exact_regime(l, sample_factor):
+        # Stages 3-6 collapse to the exact protocol: a warm bound goes
+        # straight to ship-and-cut; a cold query (or an unsafe warm
+        # bound under safe mode) certifies a bound first.
+        bound = external_threshold
+        boundary: Keyed | None = None
+        survivors: int | None = None
+        if bound is not None:
+            boundary, survivors = yield from ship_and_cut(
+                ctx, leader, candidates, l, bound=bound, pace=pace_samples,
+                repair=safe_mode and bound.value < np.inf,
+                prefix=prefix, timeout_rounds=timeout_rounds,
+            )
+            fallback = boundary is None
+        if boundary is None:
+            sub = tag(prefix, "fb") if fallback else prefix
+            bound, sampled_total = yield from _certify(
+                ctx, leader, candidates, l, prefix=sub, timeout_rounds=timeout_rounds
+            )
+            boundary, survivors = yield from ship_and_cut(
+                ctx, leader, candidates, l, bound=bound, pace=pace_samples,
+                prefix=sub, timeout_rounds=timeout_rounds,
+            )
+        return knn_output(
+            shard,
+            candidates,
+            rows,
+            candidates[: _rank_leq(candidates, boundary)],
+            boundary,
+            is_leader,
+            survivors=survivors,
+            sampled=sampled_total,
+            threshold=bound,
+            fallback=fallback,
+        )
+
     if external_threshold is not None and ctx.k > 1:
         # Externally supplied pruning bound: skip sampling entirely.
         threshold = external_threshold
         working = candidates[: _rank_leq(candidates, threshold)]
         if safe_mode:
-            with ctx.obs.span("safe-check"):
-                if byz is not None:
-                    fallback = yield from _safe_check_byz(
-                        ctx, leader, byz, prefix, len(working), l
-                    )
-                else:
-                    t_scount = tag(prefix, "scount")
-                    t_go = tag(prefix, "go")
-                    if is_leader:
-                        msgs = yield from ctx.recv(
-                            t_scount, ctx.k - 1, max_rounds=timeout_rounds
-                        )
-                        survivors = len(working) + sum(m.payload for m in msgs)
-                        fallback = survivors < l
-                        ctx.broadcast(t_go, fallback)
-                        yield
-                    else:
-                        ctx.send(leader, t_scount, len(working))
-                        msg = yield from ctx.recv_one(
-                            t_go, src=leader, max_rounds=timeout_rounds
-                        )
-                        fallback = bool(msg.payload)
-                if fallback:
-                    working = candidates
+            fallback = yield from _safe_check(
+                ctx, leader, prefix, len(working), l, timeout_rounds, byz
+            )
+            if fallback:
+                working = candidates
     elif prune and ctx.k > 1:
         log_l = max(1, log2_ceil(l))
         n_samples = sample_factor * log_l
@@ -453,30 +687,11 @@ def knn_subroutine(
 
         # Safe mode: verify >= l candidates survived before selecting.
         if safe_mode:
-            with ctx.obs.span("safe-check"):
-                if byz is not None:
-                    fallback = yield from _safe_check_byz(
-                        ctx, leader, byz, prefix, len(working), l
-                    )
-                else:
-                    t_scount = tag(prefix, "scount")
-                    t_go = tag(prefix, "go")
-                    if is_leader:
-                        msgs = yield from ctx.recv(
-                            t_scount, ctx.k - 1, max_rounds=timeout_rounds
-                        )
-                        survivors = len(working) + sum(m.payload for m in msgs)
-                        fallback = survivors < l
-                        ctx.broadcast(t_go, fallback)
-                        yield
-                    else:
-                        ctx.send(leader, t_scount, len(working))
-                        msg = yield from ctx.recv_one(
-                            t_go, src=leader, max_rounds=timeout_rounds
-                        )
-                        fallback = bool(msg.payload)
-                if fallback:
-                    working = candidates
+            fallback = yield from _safe_check(
+                ctx, leader, prefix, len(working), l, timeout_rounds, byz
+            )
+            if fallback:
+                working = candidates
 
     # Stage 6: Algorithm 1 on the surviving distance keys.
     with ctx.obs.span("selection"):

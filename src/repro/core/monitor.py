@@ -14,7 +14,9 @@ radius ``b + δ`` around ``q'`` certainly contains at least ℓ points.
 Broadcasting ``r = b + δ`` (one round) is therefore a *provably safe*
 pruning threshold: Algorithm 2's sampling stages (the ``O(k log ℓ)``
 sample messages and their ``O(log ℓ)`` transfer rounds) can be
-skipped entirely, going straight to the selection on the survivors.
+skipped entirely, going straight to the selection on the survivors
+(in Algorithm 2's exact regime, ℓ ≤ 12⌈log₂ℓ⌉: straight to shipping the
+survivors for the leader's exact cut).
 For slow-moving queries the survivor set stays near ℓ and each
 refresh costs only the selection's ``O(log ℓ)`` rounds with *no*
 sampling traffic.

@@ -28,14 +28,11 @@ from ..kmachine.machine import MachineContext, Program
 from ..points.dataset import Shard
 from ..points.ids import MINUS_INF_KEY, Keyed
 from ..points.metrics import Metric, get_metric
-from .knn import KNNOutput, knn_output, local_candidates
+from .knn import KNNOutput, knn_output, local_candidates, ship_and_cut
 from .leader import elect
-from .messages import decode_key, encode_key, tag
 from .selection import _rank_leq
 
 __all__ = ["SimpleKNNProgram", "simple_knn_subroutine"]
-
-_KEY_DTYPE = [("value", "f8"), ("id", "i8")]
 
 
 def simple_knn_subroutine(
@@ -58,11 +55,6 @@ def simple_knn_subroutine(
     query = np.atleast_1d(np.asarray(query, dtype=np.float64))
     with ctx.obs.span("local-prune"):
         candidates, rows = local_candidates(shard, query, l, metric)
-    is_leader = ctx.rank == leader
-    t_count = tag(prefix, "n")
-    t_cand = tag(prefix, "cand")
-    t_done = tag(prefix, "done")
-
     if ctx.k == 1:
         boundary = (
             Keyed(candidates[l - 1]["value"], candidates[l - 1]["id"])
@@ -78,46 +70,12 @@ def simple_knn_subroutine(
             shard, candidates, rows, head, boundary, True, survivors=len(candidates)
         )
 
-    if not is_leader:
-        # Announce how many pairs follow, then stream them.  The count
-        # message and the pairs share the machine->leader link, so the
-        # bandwidth queue charges the paper's Θ(l) rounds mechanically.
-        with ctx.obs.span("ship-candidates"):
-            ctx.send(leader, t_count, len(candidates))
-            for row in candidates:
-                ctx.send(leader, t_cand, encode_key(Keyed(row["value"], row["id"])))
-        with ctx.obs.span("boundary"):
-            msg = yield from ctx.recv_one(t_done, src=leader)
-            boundary = decode_key(msg.payload)
-        local = candidates[: _rank_leq(candidates, boundary)]
-        return knn_output(shard, candidates, rows, local, boundary, False)
-
-    # Leader: gather counts, then the announced number of candidates.
-    with ctx.obs.span("gather"):
-        count_msgs = yield from ctx.recv(t_count, ctx.k - 1)
-        expected = sum(m.payload for m in count_msgs)
-        cand_msgs = yield from ctx.recv(t_cand, expected)
-    with ctx.obs.span("merge"):
-        merged = np.empty(expected + len(candidates), dtype=_KEY_DTYPE)
-        for i, m in enumerate(cand_msgs):
-            merged[i] = m.payload
-        merged[expected:] = candidates
-        # The leader-side merge: select the l smallest of the k*l keys.
-        # This O(kl) scan + partial sort is the simple method's local
-        # bottleneck, deliberately kept on the leader's clock.
-        merged.sort(order=("value", "id"))
-        top = merged[: min(l, len(merged))]
-        boundary = (
-            Keyed(float(top[-1]["value"]), int(top[-1]["id"]))
-            if len(top)
-            else MINUS_INF_KEY
-        )
-    with ctx.obs.span("boundary"):
-        ctx.broadcast(t_done, encode_key(boundary))
-        yield
+    # Ship every candidate (no bound): the l pairs on each link cost the
+    # paper's Θ(l) rounds, and the leader merges all k*l keys.
+    boundary, survivors = yield from ship_and_cut(ctx, leader, candidates, l, prefix=prefix)
     local = candidates[: _rank_leq(candidates, boundary)]
     return knn_output(
-        shard, candidates, rows, local, boundary, True, survivors=len(merged)
+        shard, candidates, rows, local, boundary, ctx.rank == leader, survivors=survivors
     )
 
 

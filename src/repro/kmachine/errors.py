@@ -84,6 +84,7 @@ class PeerCrashedError(FaultError):
     def __init__(self, rank: int, crashed: "frozenset[int] | set[int]", detail: str = "") -> None:
         self.rank = rank
         self.crashed = tuple(sorted(crashed))
+        self.detail = detail
         suffix = f" ({detail})" if detail else ""
         super().__init__(
             f"machine {rank} aborted a receive: peers {list(self.crashed)} crashed{suffix}"

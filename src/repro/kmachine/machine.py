@@ -356,6 +356,10 @@ class MachineContext:
     # ------------------------------------------------------------------
     # simulator hooks
     # ------------------------------------------------------------------
+    def has_outbox(self) -> bool:
+        """(Simulator hook) whether sends are queued this round."""
+        return bool(self._outbox)
+
     def drain_outbox(self) -> list[Message]:
         """(Simulator hook) remove and return messages queued this round."""
         out, self._outbox = self._outbox, []

@@ -224,6 +224,9 @@ class Simulator:
         #: crash notices staged in an episode's final round, delivered at
         #: the start of the next one
         self._staged_notices: list[int] = []
+        #: crashes that fell due in an episode's silent last round; they
+        #: fire at the start of the next round
+        self._late_crashes: list[int] = []
         #: reliable-layer counters already folded into ``metrics`` (per
         #: rank), so repeated episode exits never double-count
         self._reliability_folded: dict[int, tuple[int, int, int, int]] = {}
@@ -324,11 +327,82 @@ class Simulator:
         staged_notices: list[int] = self._staged_notices
         self._staged_notices = []
         alive = sum(1 for g in generators if g is not None)
-        round_idx = self._round_cursor
+        round_idx = start_round = self._round_cursor
         round_deadline = round_idx + self.max_rounds
         active_rounds = metrics.rounds
 
         recorder = self.span_recorder
+
+        def crash(rank: int) -> None:
+            nonlocal alive
+            injector.mark_crashed(rank)  # type: ignore[union-attr]
+            self.crashed_ranks.add(rank)
+            ctx = self.contexts[rank]
+            if generators[rank] is not None:
+                generators[rank].close()
+                generators[rank] = None
+                alive -= 1
+            for msg in self.network.purge_machine(rank):
+                injector.account_purge(msg, rank)  # type: ignore[union-attr]
+            for msg in ctx.drain_outbox():
+                injector.account_purge(msg, rank)  # type: ignore[union-attr]
+            metrics.crash_drops += ctx.discard_pending()
+            metrics.crashed.append((rank, round_idx))
+            self.tracer.record(round_idx, "crash", machine=rank)
+            if self.fault_plan.notify_crashes:
+                staged_notices.append(rank)
+
+        #: crashes deferred past step 2 this round: rank -> (its generator,
+        #: its inbox count at the round's start, the round's deliveries)
+        parked: dict[int, tuple[Generator, int, list[Message]]] = {}
+
+        def settle(silent: bool) -> None:
+            """Resolve the crashes parked in step 0.
+
+            Every other machine has stepped.  If the round is not silent
+            the crash fires as if at the round's start: the parked
+            machine never stepped.  If it is, the parked machines take
+            their last step; should every one halt without sending, the
+            run ended before the crash, which then fires at the next
+            round (the next episode of a session).  Otherwise their step
+            is undone: its sends are dropped unsent and its output void.
+            """
+            nonlocal alive
+            stepped = silent
+            if silent:
+                for rank, (gen, _, msgs) in parked.items():
+                    ctx = self.contexts[rank]
+                    ctx.round = round_idx
+                    ctx.deliver(msgs)
+                    try:
+                        next(gen)
+                        silent = False
+                    except StopIteration as stop:
+                        outputs[rank] = stop.value
+                    except Exception:
+                        # The crash pre-empts this step, so its error
+                        # never happened: the round is just not silent.
+                        silent = False
+                    silent = silent and not ctx.has_outbox()
+            for rank, (gen, pending, msgs) in parked.items():
+                if silent:
+                    if outputs[rank] is not None:
+                        self.contexts[rank].result = outputs[rank]
+                    self.tracer.record(round_idx, "halt", machine=rank)
+                    self._late_crashes.append(rank)
+                    continue
+                ctx = self.contexts[rank]
+                if stepped:
+                    ctx.drain_outbox()
+                    ctx.discard_pending()
+                    outputs[rank] = None
+                    metrics.crash_drops += pending
+                generators[rank] = gen
+                alive += 1
+                crash(rank)
+                for msg in msgs:
+                    injector.account_purge(msg, rank)  # type: ignore[union-attr]
+            parked.clear()
 
         try:
             while True:
@@ -349,24 +423,36 @@ class Simulator:
                         for r, ctx in enumerate(self.contexts):
                             if r != rank and r not in self.crashed_ranks:
                                 ctx.notice_crash(rank)
-                    staged_notices = []
-                    for rank in injector.crashes_due(round_idx):
-                        injector.mark_crashed(rank)
-                        self.crashed_ranks.add(rank)
-                        ctx = self.contexts[rank]
-                        if generators[rank] is not None:
-                            generators[rank].close()
-                            generators[rank] = None
-                            alive -= 1
-                        for msg in self.network.purge_machine(rank):
-                            injector.account_purge(msg, rank)
-                        for msg in ctx.drain_outbox():
-                            injector.account_purge(msg, rank)
-                        metrics.crash_drops += ctx.discard_pending()
-                        metrics.crashed.append((rank, round_idx))
-                        self.tracer.record(round_idx, "crash", machine=rank)
-                        if self.fault_plan.notify_crashes:
-                            staged_notices.append(rank)
+                    staged_notices.clear()
+                    due = sorted(set(injector.crashes_due(round_idx) + self._late_crashes))
+                    self._late_crashes = []
+                    if (
+                        due
+                        and self.reliability is None
+                        and round_idx > start_round
+                        and active_rounds == round_idx
+                        and self.network.in_flight() == 0
+                    ):
+                        # Round r-1 was the last with traffic so far and
+                        # nothing is queued: this may be the silent round
+                        # in which the machines only consume the final
+                        # deliveries and halt.  metrics.rounds does not
+                        # count it, so a crash due now must not change
+                        # the run; park the running targets until the
+                        # others have stepped (see settle).
+                        for rank in due:
+                            gen = generators[rank]
+                            if gen is not None:
+                                parked[rank] = (
+                                    gen,
+                                    self.contexts[rank].pending_count(),
+                                    deliveries.pop(rank, []),
+                                )
+                                generators[rank] = None
+                                alive -= 1
+                    for rank in due:
+                        if rank not in parked:
+                            crash(rank)
 
                 # 1. deliver messages that completed transmission last round
                 delivered_count = 0
@@ -413,14 +499,19 @@ class Simulator:
                         alive -= 1
                         self.tracer.record(round_idx, "halt", machine=rank)
                     except FaultError:
+                        settle(False)
                         raise  # environmental failure: let supervisors see it
                     except Exception as exc:
+                        settle(False)
                         raise ProtocolError(
                             f"machine {rank} raised {type(exc).__name__} in round "
                             f"{round_idx} running {program.name!r}: {exc}"
                         ) from exc
                     if self.measure_compute:
                         compute_max = max(compute_max, time.perf_counter() - started)
+
+                if parked:
+                    settle(alive == 0 and not any(c.has_outbox() for c in self.contexts))
 
                 # 3. submit this round's sends to the network (halted
                 # machines may still drain reliability retransmissions)

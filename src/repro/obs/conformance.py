@@ -453,7 +453,10 @@ def served_message_budget(
     once).  A warm-started query carries a cached triangle-inequality
     threshold, so the sampling-stage term (``O(k log ℓ)`` sample
     messages plus the threshold broadcast) drops out; what remains is
-    the safe-mode check and Algorithm 1 on the survivors.
+    the safe-mode check and Algorithm 1 on the survivors.  In Algorithm
+    2's exact regime a warm query instead ships at most ℓ keys per
+    machine for one cut, ``(k−1)(ℓ + 2)`` messages, which this budget
+    covers at every ℓ ≤ 12⌈log₂ℓ⌉.
     """
     cap = survivors_cap if survivors_cap is not None else _LEMMA_23_FACTOR * l
     if warm_start:

@@ -268,6 +268,9 @@ async def _peer_async(
                     spans=spans, account=True,
                 )
             worker.start(program)
+            # Loaded: the coordinator starts its round-phase clock once
+            # every peer has decoded its program and shard.
+            await _write_frame(writer, ("loaded", rank, episode))
             say(f"episode {episode} from round {start_round}")
             rnd = start_round
             while True:
@@ -320,12 +323,15 @@ async def _peer_async(
                 rnd += 1
     except Exception as exc:
         say(f"failed: {type(exc).__name__}: {exc}")
+        # The coordinator rebuilds a PeerCrashedError around its detail,
+        # so ship the detail alone, not the already-wrapped message.
+        text = exc.detail if isinstance(exc, PeerCrashedError) else exc
         try:
             await _write_frame(
                 writer,
                 WorkerFailed(
                     rank=rank,
-                    error=f"{type(exc).__name__}: {exc}",
+                    error=f"{type(exc).__name__}: {text}",
                     traceback=traceback_module.format_exc(),
                 ),
                 strict=True,
@@ -461,6 +467,9 @@ class _Cluster:
         self.links: dict[int, _PeerLink] = {}
         self.crashed: set[int] = set()
         self.round_clock = 0
+        #: wall seconds spent in round barriers, excluding each episode's
+        #: program and shard shipping (what the cost model prices)
+        self.round_seconds = 0.0
         self.episode = 0
         self.port: int | None = None
         #: pickle fallbacks charged to the setup plane (JOB/RESULT
@@ -540,6 +549,19 @@ class _Cluster:
             )
             if not (isinstance(frame, tuple) and frame[0] == "ready"):
                 raise ConnectionError(f"peer {rank} failed setup: {frame!r}")
+
+    async def _read_loaded(self, rank: int) -> WorkerFailed | None:
+        """Consume one peer's job-loaded ack; a failed load comes back as
+        its :class:`WorkerFailed` report, and a dead peer surfaces as a
+        crash at the first round barrier."""
+        try:
+            frame = await asyncio.wait_for(
+                _read_frame(self.links[rank].reader), self.options.round_timeout
+            )
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError, TimeoutError,
+                ConnectionError, OSError):
+            return None
+        return frame if isinstance(frame, WorkerFailed) else None
 
     # -- round barrier -------------------------------------------------
     async def _read_report(self, rank: int):
@@ -663,6 +685,11 @@ class _Cluster:
                 ("job", episode, self.round_clock, program, local),
             )
             self.offplane_fallbacks += codec.pickle_fallbacks() - before
+        loaded = await asyncio.gather(*(self._read_loaded(rank) for rank in active))
+        for frame in loaded:
+            if isinstance(frame, WorkerFailed):
+                raise self._map_failure(frame)
+        round_started = time.perf_counter()
         running = set(active)
         episode_start = self.round_clock
         while running:
@@ -720,6 +747,7 @@ class _Cluster:
             self.round_clock += 1
             if self.span_recorder is not None:
                 self.span_recorder.round = self.round_clock
+        self.round_seconds += time.perf_counter() - round_started
         return outputs, span_dicts
 
     # -- teardown ------------------------------------------------------
@@ -865,7 +893,12 @@ class NetSimulator:
             from ..obs.spans import SpanRecorder
 
             self.span_recorder = SpanRecorder(self.metrics)
+        #: wall seconds of whole episodes: program and shard shipping,
+        #: round barriers and output collection
         self.wall_seconds = 0.0
+        #: wall seconds of the round barriers alone — the part the α–β–γ
+        #: model prices (see :func:`repro.runtime.calibrate.predicted_wall_seconds`)
+        self.round_seconds = 0.0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._cluster: _Cluster | None = None
@@ -954,6 +987,7 @@ class NetSimulator:
             self.close()
             raise
         self.wall_seconds += time.perf_counter() - started
+        self.round_seconds = self._cluster.round_seconds
         result = self._finish_episode(outputs, span_dicts)
         if not self.persistent:
             self.close()
@@ -976,6 +1010,7 @@ class NetSimulator:
             self.close()
             raise
         self.wall_seconds += time.perf_counter() - started
+        self.round_seconds = self._cluster.round_seconds
         return self._finish_episode(outputs, span_dicts)
 
     def close(self) -> None:

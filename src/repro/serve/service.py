@@ -40,9 +40,9 @@ flushing pending batches from a wall-clock timer instead.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,6 +58,9 @@ from .scheduler import AdmissionQueue, MicroBatcher, QueueFullError, Ticket
 from .session import ClusterSession, QueryJob
 from .stats import QueryRecord, ServiceStats
 from .workload import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import asyncio
 
 __all__ = ["Answer", "AsyncKNNService", "KNNService"]
 
@@ -547,6 +550,10 @@ class AsyncKNNService:
         answer = self.service.poll(qid)
         if answer is not None:
             return answer
+        # Imported here: only the asyncio front end needs the event loop,
+        # and importing asyncio costs every synchronous caller memory.
+        import asyncio
+
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._waiters[qid] = future

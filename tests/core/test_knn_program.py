@@ -9,15 +9,17 @@ from repro.core.driver import distributed_knn
 from repro.core.knn import (
     KNNProgram,
     _pool_cutoff,
+    exact_regime,
     knn_output,
     knn_subroutine,
     local_candidates,
 )
 from repro.kmachine import FunctionProgram, Simulator
 from repro.kmachine.byz import ByzConfig, suspicions
+from repro.kmachine.faults import ByzantinePlan, Liar
 from repro.points.dataset import Dataset, Shard, make_dataset
 from repro.points.generators import duplicate_heavy, gaussian_blobs, uniform_ints
-from repro.points.ids import Keyed
+from repro.points.ids import PLUS_INF_KEY, Keyed
 from repro.points.metrics import get_metric
 from repro.points.partition import shard_dataset
 from repro.sequential.brute import brute_force_knn_ids
@@ -312,22 +314,25 @@ def test_byzantine_leader_drops_and_accuses_malformed_samples():
 
 
 class TestPinnedLeaderPool:
-    """Seeded Algorithm 2 bills and leader sample statistics, pinned.
+    """Seeded Algorithm 2 bills and leader threshold statistics, pinned.
 
-    Values recorded from the implementation that sorted the leader's
-    sample pool as a Python list of ``Keyed``; the numpy pool must pick
-    the same threshold, and the protocol must send the same messages.
     Columns: seed, rounds, messages, threshold value, threshold id,
-    keys sampled.  Data: n = 2**14 uniform 16-d points, k = 16.
+    keys the threshold was based on.  Data: n = 2**14 uniform 16-d
+    points, k = 16.  At l = 256 the values were recorded from the
+    implementation that sorted the leader's sample pool as a Python
+    list of ``Keyed``; the numpy pool must pick the same threshold and
+    send the same messages.
     """
 
     PINNED = {
+        # l = 64 <= 12 log2 l: the exact regime's rank certificate, one
+        # report per machine, so 16 keys back the threshold.
         64: [
-            (0, 53, 1394, 1.0397874152108926, 2478283292359, 1024),
-            (1, 53, 1394, 0.9975098304346107, 2212552739480, 1024),
-            (2, 73, 1554, 1.1819863691660912, 2780232145281, 1024),
-            (3, 65, 1490, 1.0495389924072565, 1102397922106, 1024),
-            (4, 71, 1552, 1.0794517314638228, 346214883307, 1024),
+            (0, 8, 209, 1.0534142830897975, 2782509334096, 16),
+            (1, 8, 216, 1.0145831999297212, 1787142539337, 16),
+            (2, 7, 168, 1.1730970044264986, 421141277984, 16),
+            (3, 8, 222, 1.0779832429774543, 462693756735, 16),
+            (4, 7, 163, 1.0664840225258678, 3273923827120, 16),
         ],
         # l = 256 > 12 log2 l samples per machine, so the samples are drawn.
         256: [
@@ -350,3 +355,75 @@ class TestPinnedLeaderPool:
             assert (result.metrics.rounds, result.metrics.messages) == (rounds, messages)
             assert leader.threshold == Keyed(value, pid)
             assert leader.sampled == sampled
+
+
+class TestExactRegime:
+    """Algorithm 2 below l = 12 log2 l: certificate, one ship, one cut.
+
+    Seeded bills pinned from the implementation; the out-of-regime
+    bills (l = 256, the simple method, a Byzantine run) are the values
+    recorded before the regime existed and must never move.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(16)
+        return make_dataset(rng.uniform(0.0, 1.0, (4096, 3)), rng=rng)
+
+    @staticmethod
+    def ids(result):
+        return {int(i) for i in result.ids}
+
+    @staticmethod
+    def bill(result):
+        return result.metrics.rounds, result.metrics.messages, result.metrics.bits
+
+    def test_regime_boundary(self):
+        assert exact_regime(1) and exact_regime(64) and exact_regime(84)
+        assert not exact_regime(85) and not exact_regime(256)
+        assert exact_regime(6, sample_factor=2) and not exact_regime(7, sample_factor=2)
+
+    def test_cold_call_is_pinned(self, corpus):
+        q = np.full(3, 0.5)
+        result = distributed_knn(corpus, q, 16, 8, seed=1)
+        leader = result.leader_output
+        assert self.bill(result) == (6, 54, 7776)
+        assert set(result.metrics.per_tag_messages) == {
+            "knn/cert", "knn/tau", "knn/n", "knn/cand", "knn/done"
+        }
+        assert (leader.survivors, leader.sampled) == (33, 8)
+        assert leader.selection_stats is None
+        assert self.ids(result) == brute_force_knn_ids(corpus, q, 16)
+
+    def test_warm_call_is_pinned(self, corpus):
+        q = np.full(3, 0.5)
+        cold = distributed_knn(corpus, q, 16, 8, seed=1)
+        bound = Keyed(cold.boundary.value + 0.01, PLUS_INF_KEY.id)
+        warm = distributed_knn(corpus, q + 0.005, 16, 8, seed=1, threshold=bound)
+        assert self.bill(warm) == (3, 31, 4016)
+        assert set(warm.metrics.per_tag_messages) == {"knn/n", "knn/cand", "knn/done"}
+        assert warm.leader_output.survivors == 23
+        assert not warm.leader_output.fallback
+        assert self.ids(warm) == brute_force_knn_ids(corpus, q + 0.005, 16)
+
+    def test_outside_the_regime_bills_are_unchanged(self, corpus):
+        q = np.full(3, 0.5)
+        assert self.bill(distributed_knn(corpus, q, 256, 8, seed=1)) == (89, 950, 154199)
+        assert self.bill(
+            distributed_knn(corpus, q, 16, 8, seed=1, algorithm="simple")
+        ) == (6, 126, 17696)
+        byz = distributed_knn(
+            corpus, q, 10, 7, seed=3, byzantine_f=2, timeout_rounds=8,
+            byzantine=ByzantinePlan(seed=5, liars=(Liar(2, "forge"),)),
+        )
+        assert self.bill(byz) == (75, 1066, 185864)
+        assert self.ids(byz) == brute_force_knn_ids(corpus, q, 10)
+
+    def test_unsafe_warm_bound_falls_back_to_the_certificate(self, corpus):
+        q = np.full(3, 0.5)
+        result = distributed_knn(
+            corpus, q, 16, 8, seed=1, threshold=Keyed(1e-9, PLUS_INF_KEY.id)
+        )
+        assert result.leader_output.fallback
+        assert "knn/fb/cert" in result.metrics.per_tag_messages
+        assert self.ids(result) == brute_force_knn_ids(corpus, q, 16)

@@ -188,9 +188,11 @@ class TestComparisonExperiment:
             "simple", 4, 256
         )
 
-    def test_simple_wins_at_small_l(self, result):
-        assert result.mean_rounds("simple", 4, 8) < result.mean_rounds(
-            "sampled", 4, 8
+    def test_sampled_no_dearer_than_simple_at_small_l(self, result):
+        # l = 8 is in Algorithm 2's exact regime: its exact cut costs
+        # no more rounds than the simple method's full ship.
+        assert result.mean_rounds("sampled", 4, 8) <= result.mean_rounds(
+            "simple", 4, 8
         )
 
     def test_report_lists_all(self, result):

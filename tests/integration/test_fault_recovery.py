@@ -86,7 +86,7 @@ class TestKNNRecovery:
         """With the attempt budget exhausted before any retry, the driver's
         last resort is one run of the simple method."""
         dataset, query = make_problem(31)
-        plan = FaultPlan(crashes=(Crash(rank=1, round=5),))
+        plan = FaultPlan(crashes=(Crash(rank=1, round=3),))  # mid-run (5 rounds)
         res = distributed_knn(
             dataset, query, l=L, k=K, seed=31, faults=plan, max_attempts=1
         )

@@ -314,6 +314,50 @@ class TestSimulatorCrash:
         with pytest.raises(DeadlockError):
             sim.run()
 
+    def test_crash_in_the_silent_last_round_falls_after_the_run(self):
+        """A 1-round run: rank 1 consumes its message and halts in round
+        1, which sends nothing and is not counted.  A crash due there
+        leaves the run as it was; one due in round 0 does not."""
+
+        def relay(ctx):
+            if ctx.rank == 0:
+                ctx.send(1, "x", 7)
+                yield
+                return 0
+            msg = yield from ctx.recv_one("x")
+            return msg.payload
+
+        clean = Simulator(k=2, program=FunctionProgram(relay)).run()
+        assert clean.metrics.rounds == 1 and clean.outputs == [0, 7]
+        late = Simulator(
+            k=2, program=FunctionProgram(relay), faults=FaultPlan(crashes=(Crash(1, 1),))
+        )
+        result = late.run()
+        assert result.outputs == [0, 7]
+        assert result.metrics.crashed == [] and late.crashed_ranks == set()
+        early = Simulator(
+            k=2, program=FunctionProgram(relay), faults=FaultPlan(crashes=(Crash(1, 0),))
+        ).run()
+        assert early.outputs[1] is None and early.metrics.crashed == [(1, 0)]
+
+    def test_crash_after_an_episode_fires_in_the_next(self):
+        def relay(ctx):
+            if ctx.rank == 0:
+                ctx.send(1, "x", 7)
+                yield
+                return 0
+            msg = yield from ctx.recv_one("x")
+            return msg.payload
+
+        sim = Simulator(
+            k=2, program=FunctionProgram(relay), faults=FaultPlan(crashes=(Crash(1, 1),))
+        )
+        assert sim.run().outputs == [0, 7]
+        second = sim.run_episode(FunctionProgram(relay))
+        assert second.outputs[1] is None
+        assert sim.crashed_ranks == {1}
+        assert [rank for rank, _ in sim.metrics.crashed] == [1]
+
     def test_crash_at_round_zero_never_runs(self):
         ran = []
 

@@ -19,7 +19,7 @@ The dynamic-data layer keeps the model honest in three moves:
    differ by at most one.  Placement only: the epoch does not move.
 
 Every act verifies its answers against the brute-force oracle on the
-*live* point set.
+*live* point set, and the script exits non-zero on any mismatch.
 
 Run:  python examples/dynamic_updates.py
 """
@@ -42,6 +42,8 @@ def check(service: KNNService, answers, queries) -> str:
         )
         for qid, q in queries
     )
+    if ok < len(queries):
+        raise SystemExit(f"only {ok}/{len(queries)} answers match brute force")
     return f"{ok}/{len(queries)} exact on the live point set"
 
 

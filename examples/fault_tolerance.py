@@ -30,6 +30,14 @@ from repro.sequential.brute import brute_force_knn_ids
 N, K, L, SEED = 300, 4, 8, 7
 
 
+def report_exact(res, exact: set[int]) -> None:
+    """Print the exactness check and exit non-zero if it fails."""
+    ok = set(res.ids.tolist()) == exact
+    print(f"  exact answer: {ok}")
+    if not ok:
+        raise SystemExit("the answer differs from brute force")
+
+
 def main() -> None:
     rng = np.random.default_rng(SEED)
     dataset = make_dataset(rng.uniform(0.0, 1.0, (N, 3)), rng=rng)
@@ -55,7 +63,7 @@ def main() -> None:
     res = distributed_knn(
         dataset, query, l=L, k=K, seed=SEED, faults=lossy, reliable=reliable
     )
-    print(f"  exact answer: {set(res.ids.tolist()) == exact}")
+    report_exact(res, exact)
     print(f"  {res.metrics.summary()}")
 
     # ------------------------------------------------------------------
@@ -65,7 +73,7 @@ def main() -> None:
         dataset, query, l=L, k=K, seed=SEED, faults=hostile, reliable=reliable
     )
     rec = res.recovery
-    print(f"  exact answer: {set(res.ids.tolist()) == exact}")
+    report_exact(res, exact)
     print(f"  attempts: {rec.attempts}, crashed machines: {rec.crashed}, "
           f"degraded: {rec.degraded}")
     for line in rec.errors:

@@ -13,8 +13,9 @@ once and then amortizes across the stream, in three tiers:
    boundary b: by the triangle inequality b + d(q, p) is a safe
    pruning radius, so the sampling phase is skipped entirely.
 
-Every act verifies its answers against the brute-force oracle, and a
-final act drives the same service through the asyncio facade.
+Every act verifies its answers against the brute-force oracle (the
+script exits non-zero on any mismatch), and a final act drives the
+same service through the asyncio facade.
 
 Run:  python examples/online_service.py
 """
@@ -39,6 +40,8 @@ def check(service: KNNService, answers, queries) -> str:
         )
         for qid, q in queries
     )
+    if ok < len(queries):
+        raise SystemExit(f"only {ok}/{len(queries)} answers match brute force")
     return f"{ok}/{len(queries)} exact"
 
 
@@ -120,6 +123,8 @@ def main() -> None:
             f"  {ok}/6 exact, coalesced into "
             f"{svc.service.session.batches} batch(es)"
         )
+        if ok < len(queries):
+            raise SystemExit(f"only {ok}/{len(queries)} answers match brute force")
         await svc.close()
 
     asyncio.run(run_async())

@@ -7,6 +7,9 @@ after partitioning — the model's "each machine has O(n/k) points,
 adversarially distributed".  Shards carry the same arrays restricted
 to the machine's rows, so the global point with ID ``i`` is
 recoverable from whichever machine owns it once a protocol outputs IDs.
+Shards never alias their dataset; the shards of one
+:func:`~repro.points.partition.shard_dataset` call are read-only row
+slices of one shared copy.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ class Dataset:
         The selected rows are copied (``np.take`` along axis 0, much
         faster than 2-D fancy indexing), so the shard never aliases the
         dataset; untouched rows are not read.
+        :func:`~repro.points.partition.shard_dataset` calls this once
+        per sharding, over all machines' index sets, and slices the
+        result.
         """
         return Shard(
             points=np.take(self.points, indices, axis=0),
@@ -141,6 +147,12 @@ class Shard:
     through the per-query candidates, so a shard memoizes nothing.
     The dynamic-data layer (:mod:`repro.dyn`) mutates shards between
     query episodes through :meth:`add_points` / :meth:`remove_ids`.
+
+    Shards made by :func:`~repro.points.partition.shard_dataset` are
+    read-only row slices of one buffer shared with their siblings, so
+    their arrays must never be written in place (numpy raises if they
+    are).  The two mutators never do: they rebind ``points``, ``ids``
+    and ``labels`` to fresh arrays.
     """
 
     points: np.ndarray
@@ -156,6 +168,12 @@ class Shard:
         self.ids = np.asarray(self.ids, dtype=np.int64)
         if self.ids.shape != (len(self.points),):
             raise ValueError("shard ids/points length mismatch")
+        if self.labels is not None:
+            self.labels = np.asarray(self.labels)
+            if len(self.labels) != len(self.points):
+                raise ValueError(
+                    f"{len(self.labels)} labels for {len(self.points)} points"
+                )
 
     def __len__(self) -> int:
         return len(self.points)

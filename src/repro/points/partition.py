@@ -24,11 +24,13 @@ placements:
 
 All partitioners return a list of ``k`` index arrays into the dataset;
 :func:`shard_dataset` applies one to a :class:`~repro.points.dataset.
-Dataset`.
+Dataset` with a single gather, handing out shards as read-only row
+slices of it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -188,6 +190,14 @@ def shard_dataset(
     For the ``sorted`` adversary, pass ``metric`` and ``query`` so the
     sort order is distance-to-query (otherwise first-coordinate order
     is used).
+
+    One :meth:`Dataset.take` gathers every index set at once, and shard
+    ``i`` is the ``i``-th contiguous row slice of that single fresh
+    copy: the shards never alias the dataset, but siblings share one
+    buffer.  The buffer is marked read-only, so an in-place write
+    raises instead of changing another machine's rows;
+    :meth:`Shard.add_points` and :meth:`Shard.remove_ids` rebind the
+    arrays and stay free to use.
     """
     fn = get_partitioner(partitioner) if isinstance(partitioner, str) else partitioner
     if fn is partition_sorted_adversarial:
@@ -199,4 +209,16 @@ def shard_dataset(
         index_sets = fn(len(dataset), k, rng, order=order, **kwargs)
     else:
         index_sets = fn(len(dataset), k, rng, **kwargs)
-    return [dataset.take(indices) for indices in index_sets]
+    whole = dataset.take(np.concatenate(index_sets))
+    for array in (whole.points, whole.ids, whole.labels):
+        if array is not None:
+            array.setflags(write=False)
+    bounds = [0, *accumulate(len(indices) for indices in index_sets)]
+    return [
+        Shard(
+            points=whole.points[lo:hi],
+            ids=whole.ids[lo:hi],
+            labels=None if whole.labels is None else whole.labels[lo:hi],
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]

@@ -194,6 +194,10 @@ class TestShard:
         with pytest.raises(ValueError):
             Shard(points=np.ones((3, 1)), ids=np.array([1, 2]))
 
+    def test_labels_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 labels for 3 points"):
+            Shard(points=np.zeros((3, 2)), ids=np.arange(3), labels=np.array([1, 2]))
+
     def test_meta_scratch(self):
         s = Shard(points=np.ones((1, 1)), ids=np.array([1]))
         s.meta["origin"] = "test"

@@ -112,10 +112,13 @@ class Dataset:
 
         The dynamic-data layer mirrors live inserts here so
         verification oracles always see the *current* global set.
-        Labels are required iff the dataset is labelled.
+        Labels are required iff the dataset is labelled.  The collision
+        check is one vectorised scan of the live ids against the batch
+        (``np.isin`` in that direction sorts nothing for small batches),
+        not a sort of the whole set.
         """
         points, ids, labels = _check_batch(points, ids, labels, self.dim)
-        if np.intersect1d(self.ids, ids).size:
+        if np.isin(self.ids, ids).any():
             raise ValueError("insert ids collide with existing point ids")
         if (labels is None) != (self.labels is None):
             raise ValueError("labels must be supplied iff the dataset is labelled")
@@ -193,10 +196,11 @@ class Shard:
 
         Id uniqueness across machines is the caller's contract (the
         update protocol routes each id to exactly one machine); within
-        the shard it is enforced here.
+        the shard it is enforced here, by one vectorised scan of the
+        shard's ids against the batch (as in :meth:`Dataset.add`).
         """
         points, ids, labels = _check_batch(points, ids, labels, self.dim)
-        if np.intersect1d(self.ids, ids).size:
+        if np.isin(self.ids, ids).any():
             raise ValueError("insert ids collide with shard's existing ids")
         if (labels is None) != (self.labels is None):
             raise ValueError("labels must be supplied iff the shard is labelled")
@@ -230,6 +234,21 @@ def _check_batch(
     dim: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Validate one insert/migration batch against a target of ``dim``."""
+    points, labels = _check_points(points, labels, dim)
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape != (len(points),):
+        raise ValueError(f"ids shape {ids.shape} for {len(points)} points")
+    if np.unique(ids).size != ids.size:
+        raise ValueError("batch ids must be distinct")
+    return points, ids, labels
+
+
+def _check_points(
+    points: np.ndarray,
+    labels: np.ndarray | None,
+    dim: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The coordinate and label half of :func:`_check_batch` (no ids yet)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         # With a known dim there is no ambiguity: a length-d vector is
@@ -237,16 +256,11 @@ def _check_batch(
         points = points[:, None] if dim == 1 else points[None, :]
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValueError(f"batch shape {points.shape} does not match dim {dim}")
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.shape != (len(points),):
-        raise ValueError(f"ids shape {ids.shape} for {len(points)} points")
-    if np.unique(ids).size != ids.size:
-        raise ValueError("batch ids must be distinct")
     if labels is not None:
         labels = np.asarray(labels)
         if len(labels) != len(points):
             raise ValueError(f"{len(labels)} labels for {len(points)} points")
-    return points, ids, labels
+    return points, labels
 
 
 def make_dataset(

@@ -197,6 +197,8 @@ class KNNService:
         if self.approx:
             self.session.cluster_corpus(approx_centers)
         self.stats = ServiceStats()
+        #: how many of ``session.mutations`` the stats counters include
+        self._mutations_synced = 0
         self.on_full = on_full
         self.clock = 0.0
         self.closed = False
@@ -306,12 +308,16 @@ class KNNService:
         """Sync the cache epoch and the mutation counters to the session."""
         if self.cache is not None:
             sync_cache_epoch(self.cache, self.session.epoch_log)
-        self.stats.mutations = sum(
-            1 for m in self.session.mutations if m.kind == "update"
-        )
-        self.stats.rebalances = sum(
-            1 for m in self.session.mutations if m.kind == "rebalance"
-        )
+        # Fold in only the records appended since the last sync (an
+        # update may append an auto-rebalance after itself), so a write
+        # costs the same however long the service has run.
+        log = self.session.mutations
+        for record in log[self._mutations_synced:]:
+            if record.kind == "update":
+                self.stats.mutations += 1
+            elif record.kind == "rebalance":
+                self.stats.rebalances += 1
+        self._mutations_synced = len(log)
 
     # -- retrieval -----------------------------------------------------
     def poll(self, qid: int) -> Answer | None:

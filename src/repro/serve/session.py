@@ -55,7 +55,7 @@ from ..kmachine.faults import ByzantinePlan
 from ..kmachine.machine import MachineContext, Program, Wait
 from ..kmachine.metrics import Metrics
 from ..kmachine.simulator import Simulator
-from ..points.dataset import Dataset, make_dataset
+from ..points.dataset import Dataset, _check_points, make_dataset
 from ..points.ids import Keyed, draw_unique_ids
 from ..points.metrics import Metric, get_metric
 from ..points.partition import shard_dataset
@@ -975,15 +975,13 @@ class ClusterSession:
         guaranteed distinct from every live id, so the w.h.p. id-space
         arguments (and the rebalancer's id-range partitioning) keep
         holding under churn.  One update episode is run; the data epoch
-        bumps by one.
+        bumps by one.  A malformed batch (wrong dimensionality, label
+        count, or labelled-ness) raises ``ValueError`` before any id is
+        drawn or any message sent.
         """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points.reshape(1, -1) if self.dataset.dim > 1 else (
-                points.reshape(-1, 1)
-            )
-        if labels is not None:
-            labels = np.asarray(labels)
+        points, labels = _check_points(points, labels, self.dataset.dim)
+        if (labels is None) != (self.dataset.labels is None):
+            raise ValueError("labels must be supplied iff the session is labelled")
         ids = self._draw_insert_ids(len(points))
         self._apply_updates(
             insert_ids=ids, insert_points=points, insert_labels=labels
@@ -1001,8 +999,11 @@ class ClusterSession:
         delete_ids = np.unique(np.asarray(ids, dtype=np.int64))
         if len(delete_ids) == 0:
             return 0
-        missing = delete_ids[~np.isin(delete_ids, self.dataset.ids)]
-        if len(missing):
+        # Live ids are distinct, so every requested id is live iff the
+        # live-side scan hits as many rows as there are requested ids.
+        live = self.dataset.ids
+        if np.count_nonzero(np.isin(live, delete_ids)) != len(delete_ids):
+            missing = delete_ids[~np.isin(delete_ids, live)]
             raise KeyError(f"ids not live: {missing[:8].tolist()}")
         if len(self.dataset) - len(delete_ids) < self.l:
             raise ValueError(
@@ -1115,20 +1116,28 @@ class ClusterSession:
         return record
 
     def _draw_insert_ids(self, count: int) -> np.ndarray:
-        """``count`` fresh ids, distinct from each other and every live id."""
-        taken = set(int(i) for i in self.dataset.ids)
+        """``count`` fresh ids, distinct from each other and every live id.
+
+        Each draw round finds the candidates that are already live with
+        one vectorised scan of the live ids (``np.isin`` in that
+        direction sorts nothing for small batches), then filters the
+        round's candidates in Python: O(batch) Python work, no sort or
+        set of the whole live corpus.  Candidates are taken in draw
+        order and rejected ones redrawn, so the id stream is the one a
+        set of every live id would give.
+        """
+        live = self.dataset.ids
+        taken: set[int] = set()
         fresh: list[int] = []
-        need = count
-        while need:
+        while len(fresh) < count:
             candidates = draw_unique_ids(
-                self._id_rng, need, len(self.dataset) + count
+                self._id_rng, count - len(fresh), len(self.dataset) + count
             )
-            for c in candidates:
-                c = int(c)
+            taken.update(live[np.isin(live, candidates)].tolist())
+            for c in candidates.tolist():
                 if c not in taken:
                     taken.add(c)
                     fresh.append(c)
-            need = count - len(fresh)
         return np.asarray(fresh, dtype=np.int64)
 
     def _apply_updates(

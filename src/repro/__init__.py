@@ -15,7 +15,9 @@ Subpackages
     l-NN), the simple-method baseline, related-work comparators,
     the one-call driver API and the KNN classifier/regressor.
 ``repro.runtime``
-    Multiprocessing backend for real-parallelism wall-clock checks.
+    Real-parallelism executors: the TCP backend (``backend="net"``,
+    one OS process per machine over a socket clique) and the
+    multiprocessing backend used for wall-clock checks.
 ``repro.analysis``
     Statistics, complexity fits, table/plot rendering.
 ``repro.experiments``

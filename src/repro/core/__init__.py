@@ -20,7 +20,6 @@ from .aggregates import (
     distributed_range_count,
     distributed_top_k,
 )
-from .batch import BatchKNNProgram, BatchResult, distributed_knn_batch
 from .binary_search import (
     BinarySearchKNNProgram,
     BinarySearchSelectionProgram,
@@ -65,8 +64,6 @@ from .simple import SimpleKNNProgram, simple_knn_subroutine
 
 __all__ = [
     "ALGORITHMS",
-    "BatchKNNProgram",
-    "BatchResult",
     "BinarySearchKNNProgram",
     "BinarySearchSelectionProgram",
     "BinarySearchStats",
@@ -96,7 +93,6 @@ __all__ = [
     "decode_key",
     "distributed_extrema",
     "distributed_knn",
-    "distributed_knn_batch",
     "distributed_median",
     "distributed_quantile",
     "distributed_range_count",

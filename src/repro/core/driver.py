@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -99,25 +99,43 @@ def _attempt_seed(seed: int | None, attempt: int) -> int | None:
 BACKENDS = ("sim", "net")
 
 
-def _build_simulator(backend: str, net_options: Any, **kwargs) -> Any:
-    """Construct the attempt's executor for ``backend``.
+def build_executor(
+    backend: str, net_options: Any, persistent: bool = False, **kwargs
+) -> Any:
+    """Construct an executor for ``backend``: the one backend switch.
 
     ``"sim"`` is the in-process :class:`Simulator`; ``"net"`` the TCP
     backend (:class:`repro.runtime.net.NetSimulator`), which shares
     the constructor surface and raises ``ValueError`` for the features
     it cannot host (Byzantine plans, the unreliable layer, tracing,
-    observers) rather than silently diverging.  Imported lazily so the
-    common path never touches the runtime package.
+    observers) rather than silently diverging.  ``persistent`` keeps
+    the TCP cluster resident across episodes (sessions); the simulator
+    always retains its contexts, so only the net backend reads it.
+    Imported lazily so the common path never touches the runtime
+    package.
     """
     if backend == "net":
         from ..runtime.net import NetSimulator
 
-        return NetSimulator(options=net_options, **kwargs)
+        return NetSimulator(persistent=persistent, options=net_options, **kwargs)
     if backend != "sim":
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
     if net_options is not None:
         raise ValueError('net_options only applies to backend="net"')
     return Simulator(**kwargs)
+
+
+def _byzantine_request(
+    byzantine: ByzantinePlan | None, byzantine_f: int | None
+) -> tuple[bool, int]:
+    """``(requested, f)``: whether Byzantine hardening is on, and its
+    budget ``f`` (``byzantine_f``, else the plan's liar count).  A plan
+    alone turns it on; ``byzantine_f=0`` without one keeps the plain path.
+    """
+    requested = byzantine is not None or (byzantine_f is not None and byzantine_f > 0)
+    if byzantine_f is None:
+        byzantine_f = 0 if byzantine is None else byzantine.f
+    return requested, byzantine_f
 
 
 def _byz_answer_check(
@@ -356,6 +374,120 @@ class KNNResult:
     recovery: RecoveryInfo | None = None
 
 
+def _run_supervised(
+    what: str,
+    k: int,
+    seed: int | None,
+    rng: np.random.Generator,
+    make_attempt: Callable[..., tuple[Program, Any]],
+    answer_shape: Callable[..., tuple[list[Keyed], list[int], Any, int, int]],
+    *,
+    degrade: bool,
+    election: str,
+    faults: FaultPlan | None,
+    byzantine: ByzantinePlan | None,
+    byzantine_f: int | None,
+    byz_timeout: int,
+    reliable: ReliabilityConfig | bool,
+    max_attempts: int,
+    attempt_max_rounds: int | None,
+    backend: str,
+    net_options: Any,
+    **executor_kwargs,
+) -> tuple[SimulationResult, Metrics, RecoveryInfo | None]:
+    """The supervised attempt loop both drivers run.
+
+    Each attempt asks ``make_attempt(k_eff, shard_rng, election, byz_cfg,
+    degraded)`` for its program and per-machine inputs, runs them on a
+    fresh executor, and — under Byzantine supervision — checks the
+    answer invariant on ``answer_shape(outputs, leader_local)``
+    (:func:`_byz_answer_check`'s arguments).  A failed attempt is
+    charged, blamed and recorded (see :class:`_Supervisor`) and the
+    loop retries until the budget runs out; with ``degrade`` set and no
+    Byzantine plan, one final attempt runs with ``degraded=True`` (the
+    simple method has no hardened variant, so Byzantine runs never
+    degrade).  Attempt 1 shards with ``rng`` and elects with
+    ``election`` exactly like an unsupervised run, so fault-free runs
+    stay byte-identical.  Returns the accepted run, the metrics summed
+    over every attempt, and the recovery trail (``None`` when the run
+    was not supervised).
+    """
+    byz_requested, f_target = _byzantine_request(byzantine, byzantine_f)
+    supervised = faults is not None or bool(reliable) or byz_requested
+    budget = max(max_attempts, 2 * f_target + 2) if byz_requested else max_attempts
+    sup = _Supervisor(k, faults, budget if supervised else 1, byzantine=byzantine)
+    attempt_budget = sup.max_attempts
+    degraded = False
+
+    while True:
+        attempt = sup.recovery.attempts + 1
+        if sup.k_eff < 1:
+            raise sup.give_up(what, "every machine crashed")
+        # attempt 1 keeps the historical fault-free shard stream and election
+        shard_rng = rng if attempt == 1 else np.random.default_rng(_attempt_seed(seed, attempt))
+        election_mode = election
+        if attempt > 1 and election == "fixed":
+            election_mode = "f_tolerant" if byz_requested else "min_id"
+        byz_cfg = None
+        f_eff = 0
+        if byz_requested:
+            f_eff = min(f_target, max(0, (sup.k_eff - 1) // 3))
+            byz_cfg = ByzConfig(f=f_eff, timeout_rounds=byz_timeout)
+        program, inputs = make_attempt(
+            sup.k_eff, shard_rng, election_mode, byz_cfg, degraded
+        )
+        sim = build_executor(
+            backend,
+            net_options,
+            k=sup.k_eff,
+            program=program,
+            inputs=inputs,
+            seed=_attempt_seed(seed, attempt),
+            max_rounds=attempt_max_rounds if attempt_max_rounds is not None else 1_000_000,
+            faults=sup.plan,
+            byzantine=sup.byz_plan,
+            reliable=reliable or None,
+            **executor_kwargs,
+        )
+        err: str | None = None
+        caught: KMachineError | None = None
+        try:
+            result = sim.run()
+        except KMachineError as exc:
+            if not supervised:
+                raise
+            sup.last_error = caught = exc
+            err = f"{type(exc).__name__}: {exc}"
+        if err is None and any(out is None for out in result.outputs):
+            err = "incomplete outputs (machine crashed after peers finished)"
+        leader_local: int | None = None
+        mismatch: list[int] = []
+        if byz_requested and err is None:
+            leader_local = next(
+                (r for r, out in enumerate(result.outputs) if out.is_leader), None
+            )
+            err, mismatch = _byz_answer_check(
+                *answer_shape(result.outputs, leader_local)
+            )
+        sup.charge(sim.metrics)
+        if err is None:
+            return result, sup.metrics, sup.recovery if supervised else None
+        suspects: tuple[int, ...] = ()
+        if byz_requested and sup.k_eff > 1:
+            suspects = _byz_suspects(sup, sim, f_eff, leader_local, mismatch, caught)
+            sup.last_fail_leader = (
+                sup.survivors[leader_local] if leader_local is not None else None
+            )
+        sup.record_failure(sim, err, suspects=suspects)
+        if sup.recovery.attempts >= attempt_budget:
+            if degrade and not degraded and not byz_requested:
+                degraded = True
+                sup.recovery.degraded = True
+                attempt_budget += 1
+                continue
+            raise sup.give_up(what, err)
+
+
 def _select_inputs(dataset: Dataset, k: int, rng, partitioner: str) -> list[np.ndarray]:
     shards = shard_dataset(dataset, k, rng, partitioner)
     inputs = []
@@ -449,109 +581,48 @@ def distributed_select(
         raise ValueError(f"l={l} outside [0, {arr.size}]")
     rng = np.random.default_rng(seed)
     dataset = make_dataset(arr, rng=rng)
-    byz_requested = byzantine is not None or (
-        byzantine_f is not None and byzantine_f > 0
-    )
-    f_target = (
-        byzantine_f
-        if byzantine_f is not None
-        else (byzantine.f if byzantine is not None else 0)
-    )
-    supervised = faults is not None or bool(reliable) or byz_requested
-    budget = max(max_attempts, 2 * f_target + 2) if byz_requested else max_attempts
-    sup = _Supervisor(k, faults, budget if supervised else 1, byzantine=byzantine)
 
-    while True:
-        attempt = sup.recovery.attempts + 1
-        if sup.k_eff < 1:
-            raise sup.give_up("selection", "every machine crashed")
-        if attempt == 1:
-            shard_rng = rng  # preserves the historical fault-free stream
-            election_mode = election
-        else:
-            shard_rng = np.random.default_rng(_attempt_seed(seed, attempt))
-            if election == "fixed":
-                election_mode = "f_tolerant" if byz_requested else "min_id"
-            else:
-                election_mode = election
-        byz_cfg = None
-        f_eff = 0
-        if byz_requested:
-            f_eff = min(f_target, max(0, (sup.k_eff - 1) // 3))
-            byz_cfg = ByzConfig(
-                f=f_eff,
-                timeout_rounds=timeout_rounds if timeout_rounds is not None else 32,
-            )
-        sim = _build_simulator(
-            backend,
-            net_options,
-            k=sup.k_eff,
-            program=SelectionProgram(
-                l, election=election_mode, slack=slack,
-                timeout_rounds=timeout_rounds, byz=byz_cfg,
-            ),
-            inputs=_select_inputs(dataset, sup.k_eff, shard_rng, partitioner),
-            seed=_attempt_seed(seed, attempt),
-            bandwidth_bits=bandwidth_bits,
-            measure_compute=measure_compute,
-            cost_model=cost_model,
-            max_rounds=attempt_max_rounds if attempt_max_rounds is not None else 1_000_000,
-            faults=sup.plan,
-            byzantine=sup.byz_plan,
-            reliable=reliable or None,
-            timeline=timeline,
-            trace=trace,
-            spans=spans,
-            observers=observers,
-            profile=profile,
+    def make_attempt(k_eff, shard_rng, election_mode, byz_cfg, degraded):
+        program = SelectionProgram(
+            l, election=election_mode, slack=slack,
+            timeout_rounds=timeout_rounds, byz=byz_cfg,
         )
-        err: str | None = None
-        caught: KMachineError | None = None
-        result: SimulationResult | None = None
-        if supervised:
-            try:
-                result = sim.run()
-            except KMachineError as exc:
-                sup.last_error = exc
-                caught = exc
-                err = f"{type(exc).__name__}: {exc}"
-        else:
-            result = sim.run()
-        if result is not None and err is None and any(
-            out is None for out in result.outputs
-        ):
-            err = "incomplete outputs (machine crashed after peers finished)"
-        leader_local: int | None = None
-        mismatch: list[int] = []
-        if byz_requested and err is None and result is not None:
-            outputs = result.outputs
-            leader_local = next(
-                (r for r, out in enumerate(outputs) if out.is_leader), None
-            )
-            accepted = None
-            if leader_local is not None and outputs[leader_local].stats is not None:
-                accepted = outputs[leader_local].stats.accepted_counts
-            lo = min(l, arr.size)
-            hi = lo if slack <= 0 else min(
-                arr.size, l + int(math.ceil(slack * l))
-            )
-            err, mismatch = _byz_answer_check(
-                [out.boundary for out in outputs],
-                [len(out.selected) for out in outputs],
-                accepted, lo, hi,
-            )
-        sup.charge(sim.metrics)
-        if err is None:
-            break
-        suspects: tuple[int, ...] = ()
-        if byz_requested and sup.k_eff > 1:
-            suspects = _byz_suspects(sup, sim, f_eff, leader_local, mismatch, caught)
-            sup.last_fail_leader = (
-                sup.survivors[leader_local] if leader_local is not None else None
-            )
-        sup.record_failure(sim, err, suspects=suspects)
-        if sup.recovery.attempts >= sup.max_attempts:
-            raise sup.give_up("selection", err)
+        return program, _select_inputs(dataset, k_eff, shard_rng, partitioner)
+
+    def answer_shape(outputs, leader_local):
+        accepted = None
+        if leader_local is not None and outputs[leader_local].stats is not None:
+            accepted = outputs[leader_local].stats.accepted_counts
+        lo = min(l, arr.size)
+        hi = lo if slack <= 0 else min(arr.size, l + int(math.ceil(slack * l)))
+        return (
+            [out.boundary for out in outputs],
+            [len(out.selected) for out in outputs],
+            accepted, lo, hi,
+        )
+
+    result, metrics, recovery = _run_supervised(
+        "selection", k, seed, rng, make_attempt, answer_shape,
+        degrade=False,
+        election=election,
+        faults=faults,
+        byzantine=byzantine,
+        byzantine_f=byzantine_f,
+        byz_timeout=timeout_rounds if timeout_rounds is not None else 32,
+        reliable=reliable,
+        max_attempts=max_attempts,
+        attempt_max_rounds=attempt_max_rounds,
+        backend=backend,
+        net_options=net_options,
+        bandwidth_bits=bandwidth_bits,
+        measure_compute=measure_compute,
+        cost_model=cost_model,
+        timeline=timeline,
+        trace=trace,
+        spans=spans,
+        observers=observers,
+        profile=profile,
+    )
 
     merged = np.concatenate([out.selected for out in result.outputs])
     merged.sort(order=("value", "id"))
@@ -560,10 +631,10 @@ def distributed_select(
         values=merged["value"].copy(),
         ids=merged["id"].copy(),
         boundary=leader_out.boundary,
-        metrics=sup.metrics,
+        metrics=metrics,
         stats=leader_out.stats,
         raw=result,
-        recovery=sup.recovery if supervised else None,
+        recovery=recovery,
     )
 
 
@@ -677,15 +748,7 @@ def distributed_knn(
         raise ValueError(f"l={l} outside [1, {len(dataset)}]")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
-    byz_requested = byzantine is not None or (
-        byzantine_f is not None and byzantine_f > 0
-    )
-    f_target = (
-        byzantine_f
-        if byzantine_f is not None
-        else (byzantine.f if byzantine is not None else 0)
-    )
-    if byz_requested:
+    if _byzantine_request(byzantine, byzantine_f)[0]:
         if algorithm not in ("sampled", "unpruned"):
             raise ValueError(
                 f"byzantine hardening supports algorithms 'sampled' and "
@@ -695,119 +758,55 @@ def distributed_knn(
             raise ValueError("byzantine hardening requires safe_mode=True")
     metric_obj = get_metric(metric)
     query_arr = np.atleast_1d(np.asarray(query, dtype=np.float64))
-    supervised = faults is not None or bool(reliable) or byz_requested
-    budget_floor = max(max_attempts, 2 * f_target + 2) if byz_requested else max_attempts
-    sup = _Supervisor(k, faults, budget_floor if supervised else 1, byzantine=byzantine)
-    current_algorithm = algorithm
-    attempt_budget = sup.max_attempts
 
-    while True:
-        attempt = sup.recovery.attempts + 1
-        if sup.k_eff < 1:
-            raise sup.give_up("knn", "every machine crashed")
-        if attempt == 1:
-            shard_rng = rng  # preserves the historical fault-free stream
-            election_mode = election
-        else:
-            shard_rng = np.random.default_rng(_attempt_seed(seed, attempt))
-            if election == "fixed":
-                election_mode = "f_tolerant" if byz_requested else "min_id"
-            else:
-                election_mode = election
-        byz_cfg = None
-        f_eff = 0
-        if byz_requested:
-            f_eff = min(f_target, max(0, (sup.k_eff - 1) // 3))
-            byz_cfg = ByzConfig(
-                f=f_eff,
-                timeout_rounds=knobs.get("timeout_rounds") or 32,
-            )
+    def make_attempt(k_eff, shard_rng, election_mode, byz_cfg, degraded):
         shards = shard_dataset(
-            dataset, sup.k_eff, shard_rng, partitioner,
+            dataset, k_eff, shard_rng, partitioner,
             metric=metric_obj, query=query_arr,
         )
-        attempt_knobs = dict(knobs) if current_algorithm in ("sampled", "unpruned") else {}
-        if byz_cfg is not None and current_algorithm in ("sampled", "unpruned"):
+        current = "simple" if degraded else algorithm
+        attempt_knobs = dict(knobs) if current in ("sampled", "unpruned") else {}
+        if byz_cfg is not None and current in ("sampled", "unpruned"):
             attempt_knobs["byz"] = byz_cfg
         program = knn_program_for(
-            current_algorithm, query_arr, l, metric_obj, election_mode,
-            **attempt_knobs,
+            current, query_arr, l, metric_obj, election_mode, **attempt_knobs
         )
-        sim = _build_simulator(
-            backend,
-            net_options,
-            k=sup.k_eff,
-            program=program,
-            inputs=shards,
-            seed=_attempt_seed(seed, attempt),
-            bandwidth_bits=bandwidth_bits,
-            measure_compute=measure_compute,
-            cost_model=cost_model,
-            max_rounds=attempt_max_rounds if attempt_max_rounds is not None else 1_000_000,
-            faults=sup.plan,
-            byzantine=sup.byz_plan,
-            reliable=reliable or None,
-            timeline=timeline,
-            trace=trace,
-            spans=spans,
-            observers=observers,
-            profile=profile,
+        return program, shards
+
+    def answer_shape(outputs, leader_local):
+        accepted = None
+        if leader_local is not None and outputs[leader_local].selection_stats is not None:
+            accepted = outputs[leader_local].selection_stats.accepted_counts
+        return (
+            [out.boundary for out in outputs],
+            [len(out.ids) for out in outputs],
+            accepted, l, l,
         )
-        err: str | None = None
-        caught: KMachineError | None = None
-        result: SimulationResult | None = None
-        if supervised:
-            try:
-                result = sim.run()
-            except KMachineError as exc:
-                sup.last_error = exc
-                caught = exc
-                err = f"{type(exc).__name__}: {exc}"
-        else:
-            result = sim.run()
-        if result is not None and err is None and any(
-            out is None for out in result.outputs
-        ):
-            err = "incomplete outputs (machine crashed after peers finished)"
-        leader_local: int | None = None
-        mismatch: list[int] = []
-        if byz_requested and err is None and result is not None:
-            outputs = result.outputs
-            leader_local = next(
-                (r for r, out in enumerate(outputs) if out.is_leader), None
-            )
-            accepted = None
-            if (
-                leader_local is not None
-                and outputs[leader_local].selection_stats is not None
-            ):
-                accepted = outputs[leader_local].selection_stats.accepted_counts
-            err, mismatch = _byz_answer_check(
-                [out.boundary for out in outputs],
-                [len(out.ids) for out in outputs],
-                accepted, l, l,
-            )
-        sup.charge(sim.metrics)
-        if err is None:
-            break
-        suspects: tuple[int, ...] = ()
-        if byz_requested and sup.k_eff > 1:
-            suspects = _byz_suspects(sup, sim, f_eff, leader_local, mismatch, caught)
-            sup.last_fail_leader = (
-                sup.survivors[leader_local] if leader_local is not None else None
-            )
-        sup.record_failure(sim, err, suspects=suspects)
-        if sup.recovery.attempts >= attempt_budget:
-            if current_algorithm != "simple" and not byz_requested:
-                # Graceful degradation: Algorithm 2's sampling pipeline
-                # keeps failing — grant the simple method one last shot.
-                # Disabled under Byzantine supervision: the simple
-                # method has no hardened variant.
-                current_algorithm = "simple"
-                sup.recovery.degraded = True
-                attempt_budget += 1
-                continue
-            raise sup.give_up("knn", err)
+
+    result, metrics, recovery = _run_supervised(
+        "knn", k, seed, rng, make_attempt, answer_shape,
+        # Graceful degradation: when Algorithm 2's sampling pipeline
+        # keeps failing, the simple method gets one last shot.
+        degrade=algorithm != "simple",
+        election=election,
+        faults=faults,
+        byzantine=byzantine,
+        byzantine_f=byzantine_f,
+        byz_timeout=knobs.get("timeout_rounds") or 32,
+        reliable=reliable,
+        max_attempts=max_attempts,
+        attempt_max_rounds=attempt_max_rounds,
+        backend=backend,
+        net_options=net_options,
+        bandwidth_bits=bandwidth_bits,
+        measure_compute=measure_compute,
+        cost_model=cost_model,
+        timeline=timeline,
+        trace=trace,
+        spans=spans,
+        observers=observers,
+        profile=profile,
+    )
 
     outputs: list[KNNOutput] = result.outputs
     table = np.empty(
@@ -834,8 +833,8 @@ def distributed_knn(
         points=all_points[order],
         labels=None if all_labels is None else all_labels[order],
         boundary=leader_out.boundary,
-        metrics=sup.metrics,
+        metrics=metrics,
         leader_output=leader_out,
         raw=result,
-        recovery=sup.recovery if supervised else None,
+        recovery=recovery,
     )

@@ -145,6 +145,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_common_args(sub: argparse.ArgumentParser) -> None:
+    from ..core.driver import BACKENDS
+
     sub.add_argument("--k", type=int, default=4, help="machines (default 4)")
     sub.add_argument("--l", type=int, default=8, help="neighbors (default 8)")
     sub.add_argument(
@@ -195,7 +197,7 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--backend",
-        choices=("sim", "net"),
+        choices=BACKENDS,
         default="sim",
         help="cluster executor: in-process simulator (default) or the "
         "TCP runtime (one OS process per machine; incompatible with "

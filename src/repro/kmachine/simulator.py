@@ -36,6 +36,7 @@ Example
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Sequence
@@ -112,8 +113,9 @@ class Simulator:
         α–β model for the communication component of simulated time.
     measure_compute:
         If true, time every generator resume and charge the per-round
-        maximum to :attr:`Metrics.compute_seconds`.  Off by default to
-        keep complexity experiments overhead-free.
+        maximum to :attr:`Metrics.compute_seconds`; the garbage
+        collector is paused for the run, as :mod:`timeit` does.  Off by
+        default to keep complexity experiments overhead-free.
     max_rounds:
         Deadlock guard; exceeded ⇒ :class:`DeadlockError`.
     timeline:
@@ -285,7 +287,7 @@ class Simulator:
             None if rank in self.crashed_ranks else self.program.instantiate(ctx)
             for rank, ctx in enumerate(self.contexts)
         ]
-        return self._run_rounds(self.program, generators)
+        return self._execute(self.program, generators)
 
     def run_episode(self, program: Program) -> SimulationResult:
         """Run ``program`` over the *retained* contexts as one episode.
@@ -311,7 +313,22 @@ class Simulator:
             None if rank in self.crashed_ranks else program.instantiate(ctx)
             for rank, ctx in enumerate(self.contexts)
         ]
-        return self._run_rounds(program, generators)
+        return self._execute(program, generators)
+
+    def _execute(
+        self, program: Program, generators: list[Generator | None]
+    ) -> SimulationResult:
+        """:meth:`_run_rounds`; a timed run pauses the collector, whose
+        passes (tens of ms on a large heap) would otherwise be charged
+        to the machine step that triggered them."""
+        paused = self.measure_compute and gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            return self._run_rounds(program, generators)
+        finally:
+            if paused:
+                gc.enable()
 
     def _run_rounds(
         self, program: Program, generators: list[Generator | None]

@@ -21,12 +21,13 @@ loops, iteration over gathered dicts) are declared at the source with
 theorem that justifies them; an undeclared opaque loop makes the
 budget UNBOUNDED, which exceeds every declared class and trips KM007.
 
-This module is import-light on purpose: the linter never imports the
-code under analysis, and in particular must not pull in numpy via
-``repro.obs``.  The declared classes therefore live twice — in
-:data:`DECLARED_ENTRY_CLASSES` here and in
-``repro.obs.conformance.DECLARED_MESSAGE_CLASSES`` — with a unit test
-asserting the two tables agree.
+The declared classes live once, in
+``repro.obs.conformance.DECLARED_MESSAGE_CLASSES``, which the runtime
+conformance monitor reads too; :data:`DECLARED_ENTRY_CLASSES` is that
+table.  numpy is loaded either way (``repro/__init__`` imports
+``repro.core`` before any ``repro.lint`` module runs), so the import
+adds only the rest of ``repro.obs``, about 30–40 ms.  The linter still
+never imports the code under analysis.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..obs.conformance import DECLARED_MESSAGE_CLASSES as DECLARED_ENTRY_CLASSES
 from .astutils import dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -254,31 +256,6 @@ ENTRY_POINTS: dict[str, tuple[str, str]] = {
         "repro/dyn/balance.py", "LocalityRebalanceProgram.run"
     ),
 }
-
-#: entry name -> {f=0 class, f>0 class}, mirroring the runtime budgets
-#: in ``repro.obs.conformance`` (selection/knn O(k log n); update
-#: 3(k−1)+targets = O(k); rebalance k·(k−1) plan fan-out plus (k−1)
-#: selection re-runs = O(k² log n); every byz-wrapped driver pays the
-#: O(k)-per-gather echo quorum on top).  A unit test diffs this table
-#: against ``repro.obs.conformance.DECLARED_MESSAGE_CLASSES`` so the
-#: two can never drift apart.
-DECLARED_ENTRY_CLASSES: dict[str, dict[str, str]] = {
-    "algorithm1": {"f0": "k log", "byz": "k^2 log"},
-    "algorithm2": {"f0": "k log", "byz": "k^2 log"},
-    "update": {"f0": "k", "byz": "k^2"},
-    # k−1 splitter selections, each quorum-scaled to k²·log under byz
-    # (rebalance_message_budget charges `runs × selection bound`).
-    "rebalance": {"f0": "k^2 log", "byz": "k^3 log"},
-    # Binomial merge: a send inside a ⌈log₂k⌉ loop on every worker
-    # infers k·log (exact count k−1).  No byz path is wired —
-    # clustering is advisory — so both regimes share a class.
-    "coreset": {"f0": "k log", "byz": "k log"},
-    # coreset + CenterSet broadcast + AssignStats gather = 3(k−1).
-    "clustering": {"f0": "k log", "byz": "k log"},
-    # One all-to-all migration (k(k−1) envelopes) + (k−1) acks.
-    "locality_rebalance": {"f0": "k^2", "byz": "k^2"},
-}
-
 
 def module_declared_budgets(module: "ModuleInfo") -> dict[str, Budget]:
     """Per-module ``LINT_BUDGET = {"func": "k", ...}`` declarations.

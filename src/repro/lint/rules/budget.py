@@ -12,8 +12,8 @@ class — in both the ``f=0`` (plain, byte-identical) and ``f>0``
 Two sources of declarations:
 
 * the in-tree table :data:`repro.lint.budgets.DECLARED_ENTRY_CLASSES`
-  (mirrored, and unit-test-diffed, against
-  ``repro.obs.conformance.DECLARED_MESSAGE_CLASSES``);
+  (which is ``repro.obs.conformance.DECLARED_MESSAGE_CLASSES``, the
+  runtime monitor's table);
 * a per-module ``LINT_BUDGET = {"func_name": "k", ...}`` dict for
   standalone protocol modules that want a budget pinned next to the
   code.

@@ -68,12 +68,10 @@ __all__ = [
 ]
 
 #: Asymptotic message classes of each protocol entry point, in the
-#: plain (``f0``) and quorum-verified (``byz``) regimes.  This is the
-#: runtime-monitor-side declaration of the budgets the numeric
-#: ``*_message_budget`` functions above bound concretely; the static
-#: analyzer keeps a mirror in
-#: ``repro.lint.budgets.DECLARED_ENTRY_CLASSES`` (it must not import
-#: numpy-backed modules), and a unit test diffs the two tables.
+#: plain (``f0``) and quorum-verified (``byz``) regimes: the one table
+#: of the budgets the numeric ``*_message_budget`` functions above bound
+#: concretely.  The static analyzer (KM007) proves the same classes and
+#: reads this table as ``repro.lint.budgets.DECLARED_ENTRY_CLASSES``.
 DECLARED_MESSAGE_CLASSES: dict[str, dict[str, str]] = {
     "algorithm1": {"f0": "k log", "byz": "k^2 log"},
     "algorithm2": {"f0": "k log", "byz": "k^2 log"},

@@ -1,12 +1,12 @@
 """Persistent cluster sessions: the serving layer's protocol substrate.
 
-Every batch entry point so far (`distributed_knn`,
-`distributed_knn_batch`) builds the cluster, answers, and dies.  A
-:class:`ClusterSession` instead keeps the simulated cluster *resident*:
-leader election and shard partitioning run exactly once, and each call
-to :meth:`ClusterSession.run_batch` executes one more episode over the
-retained machine contexts (see
-:meth:`repro.kmachine.simulator.Simulator.run_episode`).  The round
+A one-shot :func:`repro.core.driver.distributed_knn` call builds the
+cluster, answers, and dies.  A :class:`ClusterSession` instead keeps
+the cluster *resident*: leader election and shard partitioning run
+exactly once, and each call to :meth:`ClusterSession.run_batch`
+executes one more episode over the retained machine contexts (see
+:meth:`repro.kmachine.simulator.Simulator.run_episode`).
+:class:`ServeBatchProgram` is the repo's one batch program.  The round
 clock, metrics, tracer and span recorder all continue across batches,
 so a session's Chrome trace reads as one service timeline.
 
@@ -32,7 +32,12 @@ from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 import numpy as np
 
-from ..core.driver import DEFAULT_BANDWIDTH_BITS
+from ..core.driver import (
+    DEFAULT_BANDWIDTH_BITS,
+    _byz_answer_check,
+    _byzantine_request,
+    build_executor,
+)
 from ..core.knn import KNNOutput, knn_subroutine
 from ..core.leader import elect
 from ..core.messages import tag
@@ -54,7 +59,6 @@ from ..kmachine.errors import FaultError
 from ..kmachine.faults import ByzantinePlan
 from ..kmachine.machine import MachineContext, Program, Wait
 from ..kmachine.metrics import Metrics
-from ..kmachine.simulator import Simulator
 from ..points.dataset import Dataset, _check_points, make_dataset
 from ..points.ids import Keyed, draw_unique_ids
 from ..points.metrics import Metric, get_metric
@@ -74,8 +78,8 @@ __all__ = [
     "SessionInitProgram",
 ]
 
-#: tag namespace for per-query traffic (``bq/<qid>/...``), shared with
-#: :mod:`repro.core.batch` so the same attribution helper applies
+#: tag namespace for per-query traffic (``bq/<qid>/...``); ``_messages_for``
+#: attributes a batch's messages to its queries by this prefix
 QUERY_NAMESPACE = "bq"
 
 #: span "machine" rank for scheduler-side (non-protocol) phases; the
@@ -249,11 +253,12 @@ class ServeBatchProgram(Program):
 class ClusterSession:
     """A resident simulated cluster answering query batches on demand.
 
-    Construction shards the corpus, builds the simulator, and runs the
-    election episode; the session then accepts any number of
-    :meth:`run_batch` calls until :meth:`close`.
+    Construction shards the corpus, builds the executor (through
+    :func:`repro.core.driver.build_executor`, like the one-shot
+    drivers), and runs the election episode; the session then accepts
+    any number of :meth:`run_batch` calls until :meth:`close`.
 
-    Parameters mirror :func:`repro.core.batch.distributed_knn_batch`;
+    Parameters mirror :func:`repro.core.driver.distributed_knn`'s;
     ``spans``/``trace``/``timeline``/``profile`` plumb through to the
     simulator so a whole session can be exported as one Chrome trace —
     and, with ``profile=True``, analysed by the cost-model profiler
@@ -304,16 +309,9 @@ class ClusterSession:
         self.sample_factor = sample_factor
         self.cutoff_factor = cutoff_factor
         # -- Byzantine hardening (see DESIGN.md §11) -------------------
-        byz_requested = byzantine is not None or (
-            byzantine_f is not None and byzantine_f > 0
-        )
+        byz_requested, f_target = _byzantine_request(byzantine, byzantine_f)
         if byz_requested and not safe_mode:
             raise ValueError("byzantine hardening requires safe_mode=True")
-        f_target = (
-            byzantine_f
-            if byzantine_f is not None
-            else (byzantine.f if byzantine is not None else 0)
-        )
         f_eff = min(int(f_target), max(0, (k - 1) // 3))
         self._byz_plan = byzantine.restricted_to(k) if byzantine is not None else None
         self._byz_cfg = (
@@ -345,7 +343,12 @@ class ClusterSession:
             )
         else:
             shards = shard_dataset(self.dataset, k, rng, partitioner)
-        sim_kwargs = dict(
+        # A persistent TCP cluster stays resident across episodes exactly
+        # like the simulator's retained contexts.
+        self._sim = build_executor(
+            backend,
+            net_options,
+            persistent=True,
             k=k,
             program=SessionInitProgram(election),
             inputs=shards,
@@ -357,22 +360,6 @@ class ClusterSession:
             profile=profile,
             byzantine=self._byz_plan,
         )
-        if backend == "net":
-            # The TCP runtime keeps the cluster resident across
-            # episodes exactly like the simulator's retained contexts;
-            # it rejects the features it cannot host (Byzantine plans,
-            # tracing) with a ValueError at construction.
-            from ..runtime.net import NetSimulator
-
-            self._sim = NetSimulator(
-                persistent=True, options=net_options, **sim_kwargs
-            )
-        elif backend == "sim":
-            if net_options is not None:
-                raise ValueError('net_options only applies to backend="net"')
-            self._sim = Simulator(**sim_kwargs)
-        else:
-            raise ValueError(f"unknown backend {backend!r}; known: ('sim', 'net')")
         #: whether per-link counters + round detail are being recorded
         self.profile = profile
         init = self._sim.run()
@@ -480,7 +467,7 @@ class ClusterSession:
             cutoff_factor=self.cutoff_factor,
             batch_index=self.batches,
         )
-        result = self._sim.run_episode(program)
+        result = self._episode(program)
         if dispatch_span is not None:
             rec.close(dispatch_span)
         self.batches += 1
@@ -519,7 +506,7 @@ class ClusterSession:
             size=DEFAULT_CORESET_SIZE if size is None else size,
             metric=self.metric,
         )
-        result = self._sim.run_episode(program)
+        result = self._episode(program)
         out = result.outputs[self.leader]
         self.routing = RoutingTable.from_clustering(out, self.metric)
         return out
@@ -561,7 +548,7 @@ class ClusterSession:
             self.leader,
             batch_index=self.batches,
         )
-        result = self._sim.run_episode(program)
+        result = self._episode(program)
         if dispatch_span is not None:
             rec.close(dispatch_span)
         self.batches += 1
@@ -720,7 +707,7 @@ class ClusterSession:
             caught: FaultError | None = None
             result = None
             try:
-                result = self._sim.run_episode(program)
+                result = self._episode(program)
             except FaultError as exc:
                 caught = exc
             self.batches += 1
@@ -761,53 +748,33 @@ class ClusterSession:
     ) -> tuple[bool, set[int]]:
         """Trusted-side exactness check for one served query.
 
-        Every machine outputs precisely its local keys ``<=`` its
-        believed boundary (honest code, so this holds on liars too).
-        If all contributing machines report the *same* boundary and
-        the assembled total is exactly ``l``, the union is the
-        downward-closed ℓ-prefix of the global key order — the exact
-        answer.  Any corrupting lie must break one of the two
-        conditions; the broken condition names its suspects (minority
-        boundary groups, or ranks whose realised count contradicts the
-        leader's accepted bookkeeping).
+        :func:`repro.core.driver._byz_answer_check` over the machines
+        that contributed (crashed and quarantined ranks output ``None``):
+        one common boundary and exactly ``l`` assembled points.  Returns
+        ``(ok, suspect ranks)``, mapping the check's positions back to
+        session ranks.
         """
-        contrib: list[tuple[int, KNNOutput]] = []
-        for rank, per_machine in enumerate(outputs):
-            if per_machine is None:  # crashed or quarantined
-                continue
-            contrib.append((rank, per_machine[index][0]))
-        groups: dict[tuple[float, int], list[int]] = {}
-        total = 0
-        leader_out: KNNOutput | None = None
-        for rank, out in contrib:
-            total += len(out.ids)
-            key = (float(out.boundary.value), int(out.boundary.id))
-            groups.setdefault(key, []).append(rank)
-            if out.is_leader:
-                leader_out = out
-        ok = True
-        mismatch: set[int] = set()
-        if len(groups) > 1:
-            ok = False
-            majority = max(groups.values(), key=len)
-            for ranks in groups.values():
-                if ranks is not majority:
-                    mismatch.update(ranks)
-        if total != self.l:
-            ok = False
-            stats = None if leader_out is None else leader_out.selection_stats
-            accepted = getattr(stats, "accepted_counts", None)
-            if accepted is not None and len(accepted) == self.k:
-                for rank, out in contrib:
-                    if int(accepted[rank]) != len(out.ids):
-                        mismatch.add(rank)
-        return ok, mismatch
+        ranks = [r for r, per in enumerate(outputs) if per is not None]
+        contrib = [outputs[r][index][0] for r in ranks]
+        leader_out = next((out for out in contrib if out.is_leader), None)
+        stats = None if leader_out is None else leader_out.selection_stats
+        accepted = getattr(stats, "accepted_counts", None)
+        if accepted is not None and len(accepted) == self.k:
+            accepted = [accepted[r] for r in ranks]
+        else:
+            accepted = None
+        err, mismatch = _byz_answer_check(
+            [out.boundary for out in contrib],
+            [len(out.ids) for out in contrib],
+            accepted, self.l, self.l,
+        )
+        return err is None, {ranks[i] for i in mismatch}
 
     def _byz_suspects(
         self, caught: FaultError | None, mismatch: set[int]
     ) -> tuple[int, ...]:
-        """Whom to fence after a failed attempt (mirrors the batch
-        driver's layered attribution; see ``attribute_blame``)."""
+        """Whom to fence after a failed attempt (mirrors the one-shot
+        drivers' layered attribution; see ``attribute_blame``)."""
         f = self._byz_cfg.f
         if isinstance(caught, ByzantineError) and caught.suspects:
             explicit = [
@@ -816,7 +783,7 @@ class ClusterSession:
                 if 0 <= r < self.k and r not in self.quarantined
             ]
             if 0 < len(explicit) <= f + 1:
-                # Unlike the batch drivers, a session keeps its leader
+                # Unlike the one-shot drivers, a session keeps its leader
                 # across attempts — a lying leader could deflect blame
                 # onto one honest accusation target per attempt forever.
                 # Two consecutive failures under the same leader fence
@@ -875,22 +842,41 @@ class ClusterSession:
             self._reelect()
 
     def _drain_traffic(self) -> None:
-        """Drop every queued and delivered-but-unread message.
+        """Drop every staged, queued and delivered-but-unread message.
 
         Failed attempts abandon suspended generators mid-protocol; the
         fixed ``dyn/*`` tags (unlike the attempt-suffixed query tags)
-        would otherwise let a retry consume the wreckage.
+        would otherwise let a retry consume the wreckage — including
+        sends a machine staged in its outbox during the failing round.
         """
         self._sim.network.drop_all()
         for ctx in self._sim.contexts:
+            ctx.drain_outbox()
             ctx.discard_pending()
+
+    def _episode(self, program: Program):
+        """Run one episode over the retained cluster.
+
+        If it raises, the abandoned episode's traffic is drained and the
+        shards are audited back to a partition of the mirror dataset
+        before the error propagates, so the next episode starts clean.
+        The TCP backend keeps no contexts here: it tears its cluster
+        down on any error, leaving nothing to restore.
+        """
+        try:
+            return self._sim.run_episode(program)
+        except Exception:
+            if self._sim.contexts:
+                self._drain_traffic()
+                self._audit_shards()
+            raise
 
     def _reelect(self) -> None:
         """Replace a fenced leader via one f-tolerant election episode."""
         self._election_term += 1
         live = [r for r in range(self.k) if r not in self.quarantined]
         try:
-            init = self._sim.run_episode(
+            init = self._episode(
                 SessionInitProgram(
                     "f_tolerant", byz=self._byz_cfg, term=self._election_term
                 )
@@ -902,7 +888,6 @@ class ClusterSession:
             # No quorum (more liars than f among the survivors): fall
             # back to the lowest live rank — deterministic, and answer
             # verification still guards correctness.
-            self._drain_traffic()
             self.leader = live[0]
 
     def _audit_shards(self) -> int:
@@ -1025,7 +1010,7 @@ class ClusterSession:
         before_messages = self.metrics.messages
         before_rounds = self.metrics.rounds
         if self._byz_cfg is None:
-            result = self._sim.run_episode(RebalanceProgram(self.leader))
+            result = self._episode(RebalanceProgram(self.leader))
             leader_out = result.outputs[self.leader]
             self.loads = list(leader_out.loads)
         else:
@@ -1038,7 +1023,7 @@ class ClusterSession:
             for _ in range(self._byz_budget):
                 self._reset_suspicions()
                 try:
-                    result = self._sim.run_episode(
+                    result = self._episode(
                         RebalanceProgram(self.leader, byz=self._byz_cfg)
                     )
                     leader_out = result.outputs[self.leader]
@@ -1093,7 +1078,7 @@ class ClusterSession:
             self.routing.owner_of_center,
             metric=self.metric,
         )
-        result = self._sim.run_episode(program)
+        result = self._episode(program)
         leader_out = result.outputs[self.leader]
         self.loads = list(leader_out.loads)
         self.routing = routing_from_shards(
@@ -1170,7 +1155,7 @@ class ClusterSession:
                 insert_labels=insert_labels,
                 delete_ids=delete_ids,
             )
-            result = self._sim.run_episode(program)
+            result = self._episode(program)
             leader_out = result.outputs[self.leader]
             self.loads = list(leader_out.loads)
             deletes_applied = int(leader_out.deleted_total or 0)
@@ -1191,7 +1176,7 @@ class ClusterSession:
                     byz=self._byz_cfg,
                 )
                 try:
-                    result = self._sim.run_episode(program)
+                    result = self._episode(program)
                     leader_out = result.outputs[self.leader]
                     break
                 except FaultError as exc:
@@ -1262,8 +1247,10 @@ def _messages_for(per_tag: dict[str, int], qids: Sequence[int]) -> list[int]:
     """Per-qid message counts for arbitrary (non-contiguous) qids.
 
     Session qids grow without bound, so instead of materializing a
-    dense ``per_query_messages`` list up to ``max(qid)``, count just the
-    requested ids in one pass over the tag table.
+    dense per-query list up to ``max(qid)``, count just the requested
+    ids in one pass over the tag table.  Matching is on the exact
+    ``bq/<qid>`` component, so ``bq/1`` never counts ``bq/10``'s
+    traffic.
     """
     wanted = {int(q): i for i, q in enumerate(qids)}
     counts = [0] * len(qids)

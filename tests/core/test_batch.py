@@ -1,14 +1,18 @@
-"""Tests for the batch serving layer."""
+"""Batch ℓ-NN: many queries answered by one resident cluster.
+
+The batch program is :class:`repro.serve.session.ServeBatchProgram`,
+run through :meth:`repro.serve.session.ClusterSession.run_batch`: one
+election per session, one ``bq/<qid>`` tag namespace per query.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchKNNProgram, distributed_knn_batch
-from repro.core.driver import distributed_knn
 from repro.points.dataset import make_dataset
 from repro.sequential.brute import brute_force_knn_ids
+from repro.serve.session import ClusterSession, QueryJob, ServeBatchProgram
 
 
 @pytest.fixture(scope="module")
@@ -17,13 +21,17 @@ def corpus():
     return make_dataset(rng.uniform(0, 1, (2000, 3)), seed=8)
 
 
+def _jobs(queries) -> list[QueryJob]:
+    return [QueryJob(qid=i, query=np.atleast_1d(q)) for i, q in enumerate(queries)]
+
+
 class TestBatchCorrectness:
     def test_every_answer_exact(self, corpus):
         rng = np.random.default_rng(1)
         queries = rng.uniform(0, 1, (6, 3))
-        result = distributed_knn_batch(corpus, queries, l=11, k=8, seed=2)
-        assert len(result.answers) == 6
-        for q, ans in zip(queries, result.answers):
+        answers = ClusterSession(corpus, 11, 8, seed=2).run_batch(_jobs(queries))
+        assert len(answers) == 6
+        for q, ans in zip(queries, answers):
             assert set(int(i) for i in ans.ids) == brute_force_knn_ids(corpus, q, 11)
             assert (np.diff(ans.distances) >= 0).all()
 
@@ -31,63 +39,67 @@ class TestBatchCorrectness:
         rng = np.random.default_rng(2)
         pts = rng.uniform(0, 1, (300, 2))
         labels = rng.integers(0, 3, 300)
-        result = distributed_knn_batch(pts, rng.uniform(0, 1, (2, 2)), l=5, k=4,
-                                       labels=labels, seed=3)
-        for ans in result.answers:
+        session = ClusterSession(pts, 5, 4, labels=labels, seed=3)
+        for ans in session.run_batch(_jobs(rng.uniform(0, 1, (2, 2)))):
             assert ans.labels is not None and len(ans.labels) == 5
 
     def test_1d_corpus_and_queries(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 100, 500)
-        result = distributed_knn_batch(values, np.array([10.0, 90.0]), l=4, k=4, seed=4)
-        assert len(result.answers) == 2
+        session = ClusterSession(values, 4, 4, seed=4)
+        queries = [10.0, 90.0]
+        answers = session.run_batch(_jobs(queries))
+        assert len(answers) == 2
+        for q, ans in zip(queries, answers):
+            assert set(int(i) for i in ans.ids) == brute_force_knn_ids(
+                session.dataset, np.array([q]), 4
+            )
 
     def test_single_query_2d(self, corpus):
         q = np.array([0.5, 0.5, 0.5])
-        result = distributed_knn_batch(corpus, q, l=3, k=4, seed=5)
-        assert len(result.answers) == 1
-        assert set(int(i) for i in result.answers[0].ids) == brute_force_knn_ids(
-            corpus, q, 3
-        )
+        (answer,) = ClusterSession(corpus, 3, 4, seed=5).run_batch(_jobs([q]))
+        assert set(int(i) for i in answer.ids) == brute_force_knn_ids(corpus, q, 3)
 
     def test_validations(self, corpus):
         with pytest.raises(ValueError):
-            distributed_knn_batch(corpus, np.zeros((1, 3)), l=0, k=2)
+            ClusterSession(corpus, 0, 2)
         with pytest.raises(ValueError):
-            BatchKNNProgram([], l=3)
+            ClusterSession(corpus, 3, 1)
         with pytest.raises(ValueError):
-            BatchKNNProgram([np.zeros(2)], l=0)
+            ServeBatchProgram([], 3, None, 0)
 
 
 class TestBatchAmortization:
     def test_per_query_message_attribution(self, corpus):
         rng = np.random.default_rng(6)
-        queries = rng.uniform(0, 1, (4, 3))
-        result = distributed_knn_batch(corpus, queries, l=9, k=8, seed=7)
-        assert len(result.per_query_messages) == 4
-        assert all(m > 0 for m in result.per_query_messages)
-        # Election/overhead aside, per-query tags cover ~all messages.
-        assert sum(result.per_query_messages) >= result.metrics.messages * 0.95
+        session = ClusterSession(corpus, 9, 8, seed=7)
+        before = session.metrics.messages
+        answers = session.run_batch(_jobs(rng.uniform(0, 1, (4, 3))))
+        assert len(answers) == 4
+        assert all(a.messages > 0 for a in answers)
+        # Every message of a batch episode runs under a query's tags.
+        assert sum(a.messages for a in answers) == session.metrics.messages - before
 
     def test_amortized_metrics_properties(self, corpus):
         rng = np.random.default_rng(7)
-        queries = rng.uniform(0, 1, (5, 3))
-        result = distributed_knn_batch(corpus, queries, l=9, k=8, seed=8)
-        assert result.messages_per_query == result.metrics.messages / 5
-        assert result.rounds_per_query == result.metrics.rounds / 5
+        session = ClusterSession(corpus, 9, 8, seed=8)
+        answers = session.run_batch(_jobs(rng.uniform(0, 1, (5, 3))))
+        assert max(a.complete_round for a in answers) <= session.rounds
+        assert min(a.complete_round for a in answers) > session.setup_rounds
 
     def test_batch_amortizes_election(self, corpus):
         """The election is paid once per session, not once per query."""
         rng = np.random.default_rng(9)
-        queries = rng.uniform(0, 1, (5, 3))
         k = 8
-        batch = distributed_knn_batch(corpus, queries, l=7, k=k, seed=10,
-                                      election="min_id")
+        session = ClusterSession(corpus, 7, k, seed=10, election="min_id")
+        for first in (0, 5):
+            queries = rng.uniform(0, 1, (5, 3))
+            session.run_batch(
+                [QueryJob(qid=first + i, query=q) for i, q in enumerate(queries)]
+            )
         election_msgs = sum(
             count
-            for msg_tag, count in batch.metrics.per_tag_messages.items()
+            for msg_tag, count in session.metrics.per_tag_messages.items()
             if msg_tag.startswith("elect")
         )
-        assert election_msgs == k * (k - 1)  # once, not 5 times
-        singles_election = 5 * k * (k - 1)
-        assert election_msgs < singles_election
+        assert election_msgs == k * (k - 1)  # once, not once per query

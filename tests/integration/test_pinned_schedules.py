@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.driver import distributed_knn, distributed_select
 from repro.kmachine import Crash, FaultPlan, KMachineError
+from repro.kmachine.faults import ByzantinePlan, Liar
 from repro.points.dataset import make_dataset
 from repro.points.ids import PLUS_INF_KEY, Keyed
 from repro.serve import ClusterSession, QueryJob
@@ -171,3 +172,217 @@ def test_exhausted_selection_reports_the_pinned_round():
         "machine 0 raised ProtocolError in round 6 running 'algorithm1-selection': "
         "machine 0 waited 4 rounds for 1 'sel/q' messages but only has 0"
     )
+
+
+#: Supervised drivers, captured before the attempt loop was shared:
+#: answer digest, cost and every ``RecoveryInfo`` field.  Crash plans
+#: that recover and that exhaust Algorithm 2 (then degrade), the
+#: reliable layer over dropping links, ``equivocate`` and ``forge``
+#: liars at f=1, and the ``byzantine_f=0`` gate.
+SUPERVISED_PINS = {
+    "select-crash": {
+        "ids": "c6797df1dcbcc65c",
+        "rounds": 58,
+        "messages": 143,
+        "bits": 29552,
+        "per_tag": "c35fd37356d0df28",
+        "attempts": 2,
+        "crashed": [0],
+        "excluded": [],
+        "degraded": False,
+        "errors": [
+            "attempt 1: PeerCrashedError: machine 1 aborted a receive: peers [0] crashed "
+            "(waiting for 1 'sel/q' messages, have 0)",
+        ],
+    },
+    "knn-crash": {
+        "ids": "8732d6bb4376b8fa",
+        "rounds": 10,
+        "messages": 93,
+        "bits": 12112,
+        "per_tag": "2396adeb62023a49",
+        "attempts": 2,
+        "crashed": [0],
+        "excluded": [],
+        "degraded": False,
+        "errors": [
+            "attempt 1: PeerCrashedError: machine 1 aborted a receive: peers [0] crashed "
+            "(waiting for 1 'knn/done' messages, have 0)",
+        ],
+    },
+    "knn-degrade": {
+        "ids": "8732d6bb4376b8fa",
+        "rounds": 14,
+        "messages": 143,
+        "bits": 18352,
+        "per_tag": "db3917301e5851b6",
+        "attempts": 3,
+        "crashed": [0, 2],
+        "excluded": [],
+        "degraded": True,
+        "errors": [
+            "attempt 1: PeerCrashedError: machine 1 aborted a receive: peers [0] crashed "
+            "(waiting for 1 'knn/done' messages, have 0)",
+            "attempt 2: PeerCrashedError: machine 0 aborted a receive: peers [1] crashed "
+            "(waiting for 14 'knn/cand' messages, have 13)",
+        ],
+    },
+    "knn-reliable": {
+        "ids": "8732d6bb4376b8fa",
+        "rounds": 21,
+        "messages": 107,
+        "bits": 19120,
+        "per_tag": "651ac2f865ebf740",
+        "attempts": 1,
+        "crashed": [],
+        "excluded": [],
+        "degraded": False,
+        "errors": [],
+    },
+    "select-equivocate": {
+        "ids": "c6797df1dcbcc65c",
+        "rounds": 135,
+        "messages": 609,
+        "bits": 135696,
+        "per_tag": "829457d75c04072b",
+        "attempts": 2,
+        "crashed": [],
+        "excluded": [2],
+        "degraded": False,
+        "errors": [
+            "attempt 1: byzantine corruption: assembled 39 keys, want [40, 40]",
+        ],
+    },
+    "knn-equivocate": {
+        "ids": "8732d6bb4376b8fa",
+        "rounds": 218,
+        "messages": 1099,
+        "bits": 165414,
+        "per_tag": "59f358bc8f5ae2e1",
+        "attempts": 3,
+        "crashed": [],
+        "excluded": [0, 4],
+        "degraded": False,
+        "errors": [
+            "attempt 1: ByzantineError: machine 1: selection leader 0 went silent",
+            "attempt 2: byzantine corruption: assembled 7 keys, want [12, 12]",
+        ],
+    },
+    "knn-forge": {
+        "ids": "8732d6bb4376b8fa",
+        "rounds": 74,
+        "messages": 610,
+        "bits": 75765,
+        "per_tag": "f1097aa86c346377",
+        "attempts": 2,
+        "crashed": [],
+        "excluded": [0],
+        "degraded": False,
+        "errors": [
+            "attempt 1: ByzantineError: machine 1: no 3-quorum confirming knn/threshc",
+        ],
+    },
+    "knn-f0": {
+        "ids": "8732d6bb4376b8fa",
+        "rounds": 5,
+        "messages": 30,
+        "bits": 4320,
+        "per_tag": "5db6ad3dfc5cd10a",
+        "recovery": None,
+    },
+    "select-f0": {
+        "ids": "c6797df1dcbcc65c",
+        "rounds": 37,
+        "messages": 106,
+        "bits": 23008,
+        "per_tag": "efc98e34e7f8885e",
+        "recovery": None,
+    },
+}
+
+
+_VALUES = np.random.default_rng(23).uniform(0, 1, 500)
+
+
+def _liar(rank: int, strategy: str) -> ByzantinePlan:
+    return ByzantinePlan(seed=4, liars=(Liar(rank=rank, strategy=strategy),))
+
+
+SUPERVISED_RUNS = {
+    "select-crash": lambda ds: distributed_select(
+        _VALUES, 40, 5, seed=2, faults=FaultPlan(seed=1, crashes=(Crash(rank=0, round=5),)),
+    ),
+    "knn-crash": lambda ds: distributed_knn(
+        ds, np.full(3, 0.5), l=12, k=6, seed=5,
+        faults=FaultPlan(seed=1, crashes=(Crash(rank=0, round=3),)),
+    ),
+    "knn-degrade": lambda ds: distributed_knn(
+        ds, np.full(3, 0.5), l=12, k=6, seed=5, max_attempts=2,
+        faults=FaultPlan(seed=1, crashes=(Crash(rank=0, round=2), Crash(rank=1, round=4))),
+    ),
+    "knn-reliable": lambda ds: distributed_knn(
+        ds, np.full(3, 0.5), l=12, k=6, seed=5, reliable=True,
+        faults=FaultPlan(seed=3, drop=0.05),
+    ),
+    "select-equivocate": lambda ds: distributed_select(
+        _VALUES, 40, 5, seed=2, byzantine=_liar(2, "equivocate"), timeout_rounds=6,
+    ),
+    "knn-equivocate": lambda ds: distributed_knn(
+        ds, np.full(3, 0.5), l=12, k=5, seed=5, byzantine=_liar(4, "equivocate"),
+        byzantine_f=1, timeout_rounds=6,
+    ),
+    "knn-forge": lambda ds: distributed_knn(
+        ds, np.full(3, 0.5), l=12, k=5, seed=5, byzantine=_liar(0, "forge"),
+        byzantine_f=1, timeout_rounds=6,
+    ),
+    "knn-f0": lambda ds: distributed_knn(ds, np.full(3, 0.5), l=12, k=5, seed=5, byzantine_f=0),
+    "select-f0": lambda ds: distributed_select(_VALUES, 40, 5, seed=2, byzantine_f=0),
+}
+
+
+def _pinned(res) -> dict:
+    out = {
+        "ids": _digest(sorted(int(i) for i in res.ids)),
+        "rounds": res.metrics.rounds,
+        "messages": res.metrics.messages,
+        "bits": res.metrics.bits,
+        "per_tag": _digest(res.metrics.per_tag_messages),
+    }
+    r = res.recovery
+    if r is None:
+        out["recovery"] = None
+    else:
+        out.update(
+            attempts=r.attempts, crashed=r.crashed, excluded=r.excluded,
+            degraded=r.degraded, errors=r.errors,
+        )
+    return out
+
+
+@pytest.mark.parametrize("case", list(SUPERVISED_PINS))
+def test_supervised_runs_are_pinned(dataset, case):
+    assert _pinned(SUPERVISED_RUNS[case](dataset)) == SUPERVISED_PINS[case]
+
+
+def test_byzantine_f0_gate_matches_the_undefended_run(dataset):
+    """``byzantine_f=0`` takes the plain path: same bill, no recovery."""
+    plain = distributed_knn(dataset, np.full(3, 0.5), l=12, k=5, seed=5)
+    gated = SUPERVISED_RUNS["knn-f0"](dataset)
+    assert _pinned(plain) == _pinned(gated)
+    plain = distributed_select(_VALUES, 40, 5, seed=2)
+    assert _pinned(plain) == _pinned(SUPERVISED_RUNS["select-f0"](dataset))
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"backend": "tcp"}, "unknown backend"),
+        ({"net_options": {"round_timeout": 1.0}}, "net_options only applies"),
+    ],
+    ids=["unknown-backend", "net-options-on-sim"],
+)
+def test_backend_switch_rejects_bad_combinations(dataset, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        distributed_knn(dataset, np.full(3, 0.5), l=4, k=3, seed=1, **kwargs)
+    with pytest.raises(ValueError, match=match):
+        ClusterSession(dataset, 4, 3, seed=1, **kwargs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,18 @@ class TestMetricsCollection:
 
         result = run_program(FunctionProgram(busy), k=2, measure_compute=True)
         assert result.metrics.compute_seconds > 0
+
+    @pytest.mark.parametrize("measure", [False, True])
+    def test_measured_runs_pause_the_collector(self, measure):
+        """A collector pause inside a step must not count as compute."""
+        def probe(ctx):
+            yield
+            return gc.isenabled()
+
+        assert gc.isenabled()
+        result = run_program(FunctionProgram(probe), k=2, measure_compute=measure)
+        assert result.outputs == [not measure, not measure]
+        assert gc.isenabled()
 
     def test_cost_model_charges_busy_rounds(self):
         model = CostModel(alpha_seconds=1.0, beta_bits_per_second=0.0,

@@ -1,8 +1,8 @@
 """Property-based tests for the extension modules.
 
 Covers the distributed k-d tree partition (conservation + box
-containment under arbitrary point clouds), the batch driver (every
-answer equals the oracle), and the moving-query monitor (exactness
+containment under arbitrary point clouds), the session's batch program
+(every answer equals the oracle), and the moving-query monitor (exactness
 along arbitrary trajectories).
 """
 
@@ -12,11 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import distributed_knn_batch
 from repro.core.kdtree_knn import build_partition, query_partition
 from repro.core.monitor import MovingKNNMonitor
 from repro.points.dataset import make_dataset
 from repro.sequential.brute import brute_force_knn_ids
+from repro.serve.session import ClusterSession, QueryJob
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -70,7 +70,7 @@ class TestKDTreePartitionProperties:
 
 
 class TestBatchProperties:
-    @given(point_clouds(min_points=5), st.integers(1, 4), st.integers(1, 4),
+    @given(point_clouds(min_points=5), st.integers(1, 4), st.integers(2, 4),
            st.integers(0, 2**16))
     @settings(max_examples=20)
     def test_batch_answers_equal_oracle(self, cloud, n_queries, k, seed):
@@ -79,8 +79,11 @@ class TestBatchProperties:
         rng = np.random.default_rng(seed)
         queries = rng.uniform(points.min() - 1, points.max() + 1, (n_queries, dim))
         l = min(3, len(points))
-        result = distributed_knn_batch(ds, queries, l=l, k=k, seed=seed)
-        for q, ans in zip(queries, result.answers):
+        session = ClusterSession(ds, l, k, seed=seed)
+        answers = session.run_batch(
+            [QueryJob(qid=i, query=q) for i, q in enumerate(queries)]
+        )
+        for q, ans in zip(queries, answers):
             assert set(int(i) for i in ans.ids) == brute_force_knn_ids(ds, q, l)
 
 

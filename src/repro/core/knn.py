@@ -34,17 +34,29 @@ stage-3 "sample" is the whole candidate set and the leader already
 holds a superset of the answer.  There — plain mode (``byz is None``),
 ``prune=True``, ``k > 1`` — stages 3–6 become a deterministic protocol:
 
-* *certificate*: machine ``i`` sends one message, ``c_i = min(⌈ℓ/k⌉,
-  |S_i|)`` and its key at local rank ``c_i``;
-* *bound*: the leader sorts the reports and broadcasts ``τ``, the first
-  reported key at which the running sum of ``c_i`` reaches ℓ (+∞ if it
-  never does) — every machine reported at or below ``τ`` holds its
-  ``c_i`` keys there, so at least ℓ keys lie at or below ``τ``;
+* *certificate* (:func:`_certify`): machine ``i`` sends one message
+  ``(|S_i|, v₁, v₂, v₃)``, where ``v_j`` is the distance value of its
+  key at local rank ``r_j = min(⌈j·ℓ/2k⌉, |S_i|)`` — ½, 1 and 1½ times
+  ``ℓ/k`` — so it holds at least ``r_j`` keys at or below
+  ``(v_j, max id)``.  Four words: 256 payload bits, 272 with the header,
+  one message and one link-round at the default ``B = 512``;
+* *bound*: the leader walks every report in value order, keeps each
+  machine's largest rank reached, and broadcasts ``τ = (v, max id)`` at
+  the first report where those ranks sum to ℓ (+∞ if they never do) —
+  so at least ℓ keys lie at or below ``τ``, with no randomness.  This
+  is Nowicki's regular sampling (PAPERS.md) with three samples per
+  machine; the rank set is a fixed function of ``(k, ℓ)``;
 * *ship and cut* (:func:`ship_and_cut`): every worker sends its count
   and its keys ``≤ τ``; the leader cuts the union at rank ℓ and
   broadcasts that key as the final boundary.
 
-No sample, no safe-check round trip, no Algorithm 1 loop.  Each link
+No sample, no safe-check round trip, no Algorithm 1 loop.  The middle
+rank ``r₂ = min(⌈ℓ/k⌉, |S_i|)`` alone would already certify a bound
+(one sample per machine), and the outer two can only move ``τ`` down:
+on distinct distances no more keys ship than under that one-rank
+rule, and where ``k·⌈ℓ/k⌉ = ℓ`` ``τ`` no longer has to wait for every
+machine's report.  Because ``τ`` carries the largest id, every key
+tied at its value ships too.  Each link still
 carries at most ℓ ≤ ``sample_factor·⌈log₂ ℓ⌉`` keys plus four control
 messages, so Theorem 2.4's ``O(log ℓ)`` rounds and ``O(k log ℓ)``
 messages still hold.  A warm threshold runs only the ship-and-cut step
@@ -67,7 +79,7 @@ Las Vegas one for two extra rounds.  Benchmarks use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Any, Generator
 
 import numpy as np
 
@@ -130,7 +142,8 @@ class KNNOutput:
         exact regime: the keys shipped to the leader's cut.
     sampled:
         Number of sampled keys the leader based the threshold on
-        (leader only; in the exact regime, the certificate reports).
+        (leader only; in the exact regime, the number of machines whose
+        certificate report holds candidates).
     threshold:
         The broadcast pruning key ``r`` (leader only; ``None`` when
         pruning was disabled).
@@ -315,6 +328,15 @@ def exact_regime(l: int, sample_factor: int = 12) -> bool:
     return l <= sample_factor * max(1, log2_ceil(l))
 
 
+def _report_ranks(l: int, k: int, size: int) -> list[int]:
+    """The certificate's local ranks ``min(⌈j·l/2k⌉, size)``, j = 1, 2, 3.
+
+    A fixed function of ``(l, k)`` and a machine's candidate count, so
+    the leader recomputes every machine's ranks from its reported size.
+    """
+    return [min(-(-j * l // (2 * k)), size) for j in (1, 2, 3)]
+
+
 def _certify(
     ctx: MachineContext,
     leader: int,
@@ -324,45 +346,52 @@ def _certify(
     prefix: str,
     timeout_rounds: int | None = None,
 ) -> Generator[None, None, tuple[Keyed, int | None]]:
-    """Rank certificate: a bound with at least ``l`` keys at or below it.
+    """Regular-sampling certificate: a bound with ≥ ``l`` keys at or below it.
 
-    Machine ``i`` reports ``c_i = min(⌈l/k⌉, |S_i|)`` and its key at
-    local rank ``c_i``, so it holds exactly ``c_i`` keys at or below
-    that key.  The leader sorts the reports and broadcasts ``τ``, the
-    first reported key at which the running sum of ``c_i`` reaches
-    ``l`` (every machine reported at or below ``τ`` contributes its
-    ``c_i``), or +∞ when the sum never does.  Returns ``(τ, reports)``;
-    the report count is the leader's (``None`` on workers).
+    Machine ``i`` sends one report ``(|S_i|, v₁, v₂, v₃)``: ``v_j`` is
+    the distance value of its key at local rank ``r_j = min(⌈j·l/2k⌉,
+    |S_i|)`` (:func:`_report_ranks`), so it holds at least ``r_j`` keys
+    at or below ``(v_j, max id)``.  The leader walks every report in
+    value order, keeps each machine's largest rank reached so far, and
+    broadcasts ``τ = (v, max id)`` at the first report where those
+    ranks sum to ``l`` — or +∞ when they never do.  Returns
+    ``(τ, reports)``; the report count is the number of machines
+    holding candidates, known to the leader only (``None`` on workers).
     """
     t_cert = tag(prefix, "cert")
     t_tau = tag(prefix, "tau")
-    c = min(-(-l // ctx.k), len(keys))
-    if c:
-        row = keys[c - 1]
-        mine = (c, float(row["value"]), int(row["id"]))
-    else:
-        mine = (0, PLUS_INF_KEY.value, PLUS_INF_KEY.id)
+    size = len(keys)
+    mine = (size, *(
+        float(keys["value"][rank - 1]) if rank else PLUS_INF_KEY.value
+        for rank in _report_ranks(l, ctx.k, size)
+    ))
     if ctx.rank == leader:
         with ctx.obs.span("sampling"):
             msgs = yield from ctx.recv(t_cert, ctx.k - 1, max_rounds=timeout_rounds)
+            held: list[tuple[Any, ...]] = [mine] + [m.payload for m in msgs]
+            # Within a machine both value and rank ascend with j, so in
+            # (value, rank) order each report raises its machine's rank.
             reports = sorted(
-                (value, id_, count)
-                for count, value, id_ in [mine] + [m.payload for m in msgs]
+                (value, rank, machine)
+                for machine, (count, *values) in enumerate(held)
                 if count
+                for value, rank in zip(values, _report_ranks(l, ctx.k, count))
             )
         with ctx.obs.span("threshold"):
             if not reports:
                 raise ValueError("no machine holds any point; cannot answer query")
             tau = PLUS_INF_KEY
+            reached = [0] * len(held)
             total = 0
-            for value, id_, count in reports:
-                total += count
+            for value, rank, machine in reports:
+                total += rank - reached[machine]
+                reached[machine] = rank
                 if total >= l:
-                    tau = Keyed(value, id_)
+                    tau = Keyed(value, PLUS_INF_KEY.id)
                     break
             ctx.broadcast(t_tau, encode_key(tau))
             yield  # the broadcast's round (nothing can arrive sooner)
-        return tau, len(reports)
+        return tau, sum(1 for count, *_ in held if count)
     else:
         with ctx.obs.span("sampling"):
             ctx.send(leader, t_cert, mine)

@@ -28,6 +28,7 @@ admission decisions on their own track next to the protocol phases.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 import numpy as np
@@ -78,7 +79,7 @@ __all__ = [
     "SessionInitProgram",
 ]
 
-#: tag namespace for per-query traffic (``bq/<qid>/...``); ``_messages_for``
+#: tag namespace for per-query traffic (``bq/<qid>/...``); ``_QueryTraffic``
 #: attributes a batch's messages to its queries by this prefix
 QUERY_NAMESPACE = "bq"
 
@@ -195,7 +196,7 @@ class ServeBatchProgram(Program):
     def _prefix(self, qid: int) -> str:
         """Per-query tag namespace; Byzantine replays get an ``rN``
         segment so a retry can never consume a failed attempt's stale
-        traffic (``_messages_for`` still attributes both to ``qid``)."""
+        traffic (``_QueryTraffic`` still attributes both to ``qid``)."""
         if self.attempt == 0:
             return tag(QUERY_NAMESPACE, qid)
         return tag(QUERY_NAMESPACE, qid, f"r{self.attempt}")
@@ -368,6 +369,7 @@ class ClusterSession:
         self.setup_rounds = self._sim.metrics.rounds
         self.batches = 0
         self.closed = False
+        self._traffic = _QueryTraffic(self._sim.metrics.per_tag_messages)
         # -- dynamic-data state (see repro.dyn) ------------------------
         self._shards = shards
         #: bumps once per set-changing update episode (never on rebalance)
@@ -552,8 +554,7 @@ class ClusterSession:
         if dispatch_span is not None:
             rec.close(dispatch_span)
         self.batches += 1
-        per_tag = self._sim.metrics.per_tag_messages
-        message_counts = _messages_for(per_tag, [job.qid for job in jobs])
+        message_counts = self._traffic.counts([job.qid for job in jobs])
         merged = result.outputs[self.leader]
         live = [r for r in range(self.k) if r not in self.quarantined]
         answers: list[SessionAnswer] = []
@@ -589,14 +590,8 @@ class ClusterSession:
     def _assemble(
         self, jobs: Sequence[QueryJob], outputs: list
     ) -> list[SessionAnswer]:
-        per_tag = self._sim.metrics.per_tag_messages
-        message_counts = {
-            job.qid: count
-            for job, count in zip(
-                jobs,
-                _messages_for(per_tag, [job.qid for job in jobs]),
-            )
-        }
+        qids = [job.qid for job in jobs]
+        message_counts = dict(zip(qids, self._traffic.counts(qids)))
         answers: list[SessionAnswer] = []
         for i, job in enumerate(jobs):
             table_parts = []
@@ -1243,25 +1238,36 @@ class ClusterSession:
         self.close()
 
 
-def _messages_for(per_tag: dict[str, int], qids: Sequence[int]) -> list[int]:
-    """Per-qid message counts for arbitrary (non-contiguous) qids.
+class _QueryTraffic:
+    """Per-qid message counts over a session's growing tag table.
 
-    Session qids grow without bound, so instead of materializing a
-    dense per-query list up to ``max(qid)``, count just the requested
-    ids in one pass over the tag table.  Matching is on the exact
-    ``bq/<qid>`` component, so ``bq/1`` never counts ``bq/10``'s
-    traffic.
+    ``per_tag`` is the executor's ``Metrics.per_tag_messages``, which
+    lives as long as the session and only gains tags.
+
+    Each ``bq/<qid>/...`` tag is indexed under its qid once, when it
+    first appears.  Dicts keep insertion order, so the tags added since
+    the last call are the table's last entries and are reached from its
+    end; a batch then sums only its own qids' tags.  Matching is on the
+    exact ``bq/<qid>`` component, so ``bq/1`` never counts ``bq/10``'s
+    traffic, while Byzantine replays (``bq/<qid>/rN/...``) and earlier
+    failed runs of the same qid count toward it.
     """
-    wanted = {int(q): i for i, q in enumerate(qids)}
-    counts = [0] * len(qids)
-    for msg_tag, count in per_tag.items():
-        parts = msg_tag.split("/", 2)
-        if len(parts) >= 2 and parts[0] == QUERY_NAMESPACE:
-            try:
-                qid = int(parts[1])
-            except ValueError:
-                continue
-            slot = wanted.get(qid)
-            if slot is not None:
-                counts[slot] += count
-    return counts
+
+    def __init__(self, per_tag: dict[str, int]) -> None:
+        self._per_tag = per_tag
+        self._indexed = 0
+        self._tags: dict[int, list[str]] = {}
+
+    def counts(self, qids: Sequence[int]) -> list[int]:
+        """Messages each qid has sent over the session so far."""
+        per_tag = self._per_tag
+        for msg_tag in islice(reversed(per_tag), len(per_tag) - self._indexed):
+            parts = msg_tag.split("/", 2)
+            if len(parts) >= 2 and parts[0] == QUERY_NAMESPACE:
+                try:
+                    qid = int(parts[1])
+                except ValueError:
+                    continue
+                self._tags.setdefault(qid, []).append(msg_tag)
+        self._indexed = len(per_tag)
+        return [sum(per_tag[t] for t in self._tags.get(int(q), ())) for q in qids]

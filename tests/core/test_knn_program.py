@@ -325,14 +325,15 @@ class TestPinnedLeaderPool:
     """
 
     PINNED = {
-        # l = 64 <= 12 log2 l: the exact regime's rank certificate, one
-        # report per machine, so 16 keys back the threshold.
+        # l = 64 <= 12 log2 l: the exact regime's certificate, one report
+        # per machine, so 16 reports back the threshold; it admits every
+        # key at its value, so its id is the largest.
         64: [
-            (0, 8, 209, 1.0534142830897975, 2782509334096, 16),
-            (1, 8, 216, 1.0145831999297212, 1787142539337, 16),
-            (2, 7, 168, 1.1730970044264986, 421141277984, 16),
-            (3, 8, 222, 1.0779832429774543, 462693756735, 16),
-            (4, 7, 163, 1.0664840225258678, 3273923827120, 16),
+            (0, 6, 131, 0.9916723650674257, 9223372036854775807, 16),
+            (1, 6, 131, 0.9596774334939205, 9223372036854775807, 16),
+            (2, 6, 134, 1.1413813798935617, 9223372036854775807, 16),
+            (3, 6, 124, 1.0076211378918634, 9223372036854775807, 16),
+            (4, 6, 125, 1.0336947472809879, 9223372036854775807, 16),
         ],
         # l = 256 > 12 log2 l samples per machine, so the samples are drawn.
         256: [
@@ -387,11 +388,11 @@ class TestExactRegime:
         q = np.full(3, 0.5)
         result = distributed_knn(corpus, q, 16, 8, seed=1)
         leader = result.leader_output
-        assert self.bill(result) == (6, 54, 7776)
+        assert self.bill(result) == (4, 41, 6352)
         assert set(result.metrics.per_tag_messages) == {
             "knn/cert", "knn/tau", "knn/n", "knn/cand", "knn/done"
         }
-        assert (leader.survivors, leader.sampled) == (33, 8)
+        assert (leader.survivors, leader.sampled) == (16, 8)
         assert leader.selection_stats is None
         assert self.ids(result) == brute_force_knn_ids(corpus, q, 16)
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.driver import DEFAULT_BANDWIDTH_BITS
 from repro.kmachine.reliable import Envelope
-from repro.kmachine.sizing import DEFAULT_POLICY, SizingPolicy, payload_bits
+from repro.kmachine.sizing import DEFAULT_POLICY, HEADER_BITS, SizingPolicy, payload_bits
 from repro.points.ids import Keyed
 
 
@@ -139,6 +140,10 @@ PINNED_BITS = [
     ("count query", ("count", (0.5, 3), (0.7, 9)), 296),
     ("count reply", ("count", 5), 104),
     ("init reply", ("init", 5, (0.1, 1), (0.9, 2)), 352),
+    # Algorithm 2's certificate report (|S_i|, v1, v2, v3): 256 payload
+    # bits, 272 with the header, one message inside B = 512.
+    ("certificate report", (16, 0.25, 0.5, 0.75), 256),
+    ("empty certificate report", (0, float("inf"), float("inf"), float("inf")), 256),
     ("str subclass in tuple", (_Opcode("pick"), 1.0), 96),
     ("tuple subclass in tuple", ("pick", _Pair((0.5, 3))), 160),
     ("non-word items in inner tuples", ((True, None), ("ab", 2)), 82),
@@ -150,3 +155,8 @@ PINNED_BITS = [
 )
 def test_pinned_payload_bits(payload, bits):
     assert DEFAULT_POLICY.measure(payload) == bits
+
+
+def test_certificate_report_fits_one_message():
+    report = (16, 0.25, 0.5, 0.75)
+    assert DEFAULT_POLICY.measure(report) + HEADER_BITS == 272 <= DEFAULT_BANDWIDTH_BITS

@@ -126,6 +126,7 @@ class TestValues:
         "protocol tag/with/slashes ∂",
         b"\x00\xffbytes",
         (1, 2.0, "three", None),
+        (16, 0.25, 0.5, float("inf")),  # Algorithm 2's certificate report
         [1, [2, [3]]],
         {"a": 1, "b": (2, 3)},
         {1: "x", (2, 3): "y"},

@@ -126,3 +126,35 @@ def test_unique_qids_required_for_attribution(session: ClusterSession) -> None:
     )
     assert [a.qid for a in answers] == [1000, 7]
     assert all(a.messages > 0 for a in answers)
+
+
+def _full_scan(per_tag: dict[str, int], qids: list[int]) -> list[int]:
+    """Reference attribution: one pass over every tag the session sent."""
+    counts = dict.fromkeys(qids, 0)
+    for msg_tag, count in per_tag.items():
+        parts = msg_tag.split("/", 2)
+        if len(parts) >= 2 and parts[0] == "bq" and parts[1].isdigit():
+            qid = int(parts[1])
+            if qid in counts:
+                counts[qid] += count
+    return [counts[q] for q in qids]
+
+
+def test_attribution_matches_a_full_scan_under_byzantine_replays() -> None:
+    from repro.kmachine.faults import ByzantinePlan, Liar
+
+    points = np.random.default_rng(11).uniform(0.0, 1.0, (500, 3))
+    plan = ByzantinePlan(seed=5, liars=(Liar(2, "equivocate"), Liar(5, "equivocate")))
+    session = ClusterSession(
+        points, 10, 7, seed=3, byzantine=plan, byzantine_timeout_rounds=8
+    )
+    rng = np.random.default_rng(7)
+    # qids whose decimal strings prefix one another (1, 10, 101, ...)
+    for qids in ([1, 10, 101], [11, 110, 2], [20, 200, 3]):
+        answers = session.run_batch(
+            [QueryJob(qid=q, query=rng.uniform(0.0, 1.0, 3)) for q in qids]
+        )
+        per_tag = session.metrics.per_tag_messages
+        assert [a.messages for a in answers] == _full_scan(per_tag, qids)
+        session.insert(rng.uniform(0.0, 1.0, (4, 3)))
+    assert any("/r1/" in t for t in session.metrics.per_tag_messages)

@@ -48,14 +48,14 @@ REPS = 3  # wall-clock reps; protocol totals are deterministic
 
 
 def _direct_knn_run():
-    """One timeline-bearing KNN run on a raw NetSimulator."""
+    """One profiled (timeline-bearing) KNN run on a raw NetSimulator."""
     rng = np.random.default_rng(SEED)
     dataset = make_dataset(rng.standard_normal((N, DIM)), rng=rng)
     query = rng.standard_normal(DIM)
     metric = get_metric("euclidean")
     shards = shard_dataset(dataset, K, rng, "random", metric=metric, query=query)
     program = knn_program_for("sampled", query, L, metric)
-    sim = NetSimulator(K, program, inputs=shards, seed=SEED, timeline=True)
+    sim = NetSimulator(K, program, inputs=shards, seed=SEED, observe="profile")
     sim.run()
     return sim
 

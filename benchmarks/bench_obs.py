@@ -7,8 +7,8 @@ be invisible next to real protocol work.  This bench measures
 * the *per-entry* cost of a null span and a null event, scaled by how
   many of each a seeded Algorithm 2 run actually executes, as a
   fraction of that run's wall time (the acceptance bar: **< 2%**); and
-* the *enabled* cost — the same run with spans, tracing and the
-  per-round timeline all on — as a wall-time ratio against baseline.
+* the *enabled* cost — the same run at ``observe="trace"``, which
+  records everything — as a wall-time ratio against baseline.
 
 The result lands in ``benchmarks/results/BENCH_obs.json`` so future
 PRs can watch both numbers.
@@ -66,9 +66,7 @@ def test_observability_overhead(results_dir):
 
     # One instrumented run tells us how many spans/rounds a real run
     # executes — and doubles as the correctness anchor for the bench.
-    instrumented, _ = _run(
-        points, spans=True, trace=True, timeline=True
-    )
+    instrumented, _ = _run(points, observe="trace")
     span_entries = len(instrumented.raw.spans)
     assert span_entries > 0
     attribution = phase_attribution(
@@ -79,7 +77,7 @@ def test_observability_overhead(results_dir):
 
     baseline_times = [_run(points)[1] for _ in range(REPS)]
     enabled_times = [
-        _run(points, spans=True, trace=True, timeline=True)[1]
+        _run(points, observe="trace")[1]
         for _ in range(REPS)
     ]
     baseline = min(baseline_times)

@@ -5,11 +5,11 @@ The profiler's contract has two halves:
 * **Exactness**: the per-round α/β/γ re-derivation must reproduce the
   simulator's own ``comm_seconds`` bit-for-bit (``profile.consistent``),
   and the link counters must account for every message the run sent.
-* **Overhead**: with ``profile=False`` the only residue is one
+* **Overhead**: below ``observe="profile"`` the only residue is one
   predicate test per sent message (the ``if profiling:`` branch in the
   simulator's send loop) plus two comparisons per round in the network
   drain — scaled by a measured per-branch cost, that residue must stay
-  under **2%** of a real run's wall time.  With ``profile=True`` the
+  under **2%** of a real run's wall time.  At ``observe="profile"`` the
   run must remain usable for any debugging session (loose ×3 bound).
 
 The result lands in ``benchmarks/results/BENCH_profile.json``; the
@@ -83,7 +83,7 @@ def test_cost_profiler(results_dir):
     # One profiled run anchors correctness: the re-derived cost
     # arithmetic must match the simulator's, and the per-link counters
     # must cover every message sent.
-    profiled, _ = _run(points, profile=True, spans=True, timeline=True)
+    profiled, _ = _run(points, observe="profile")
     profile = CostProfile(profiled.metrics, spans=profiled.raw.spans, k=K)
     assert profile.consistent, "binding-term arithmetic diverged from round_cost"
     link_total = sum(profiled.metrics.per_link_messages.values())
@@ -93,7 +93,7 @@ def test_cost_profiler(results_dir):
 
     baseline_times = [_run(points)[1] for _ in range(REPS)]
     enabled_times = [
-        _run(points, profile=True, spans=True, timeline=True)[1]
+        _run(points, observe="profile")[1]
         for _ in range(REPS)
     ]
     baseline = min(baseline_times)

@@ -58,9 +58,7 @@ def main() -> None:
         inputs=inputs,
         seed=SEED,
         bandwidth_bits=512,
-        trace=True,
-        spans=True,
-        timeline=True,
+        observe="trace",
     )
     result = sim.run()
 

@@ -312,7 +312,7 @@ def distributed_cluster(
     seed: int | None = None,
     partitioner: str = "random",
     bandwidth_bits: int | None = None,
-    spans: bool = False,
+    observe: str = "off",
 ) -> ClusteringResult:
     """Run one clustering episode on a fresh simulator and certify it.
 
@@ -320,6 +320,7 @@ def distributed_cluster(
     coordinate array.  The sequential baseline runs the same solver on
     the pooled raw points; the returned result's
     :attr:`~ClusteringResult.ok` is the certificate inequality.
+    ``observe`` is the simulator's observability level.
     """
     rng = np.random.default_rng(seed)
     dataset = data if isinstance(data, Dataset) else make_dataset(
@@ -332,7 +333,7 @@ def distributed_cluster(
     )
     sim = Simulator(
         k=k, program=program, inputs=shards, seed=seed,
-        bandwidth_bits=bandwidth_bits, spans=spans,
+        bandwidth_bits=bandwidth_bits, observe=observe,
     )
     res = sim.run()
     out: ClusteringOutput = res.outputs[0]

@@ -47,7 +47,6 @@ from ..kmachine.metrics import Metrics
 from ..kmachine.reliable import ReliabilityConfig
 from ..kmachine.simulator import SimulationResult, Simulator
 from ..kmachine.timing import CostModel
-from ..kmachine.tracing import Tracer
 from ..points.dataset import Dataset, make_dataset
 from ..points.ids import Keyed
 from ..points.metrics import Metric, get_metric
@@ -107,8 +106,11 @@ def build_executor(
     ``"sim"`` is the in-process :class:`Simulator`; ``"net"`` the TCP
     backend (:class:`repro.runtime.net.NetSimulator`), which shares
     the constructor surface and raises ``ValueError`` for the features
-    it cannot host (Byzantine plans, the unreliable layer, tracing,
-    observers) rather than silently diverging.  ``persistent`` keeps
+    it cannot host (Byzantine plans, the unreliable layer) rather than
+    silently diverging.  Each backend declares the ``observe`` levels
+    it records (``OBSERVE_LEVELS``: every level on the simulator,
+    ``off``/``spans``/``profile`` on net); any other level raises one
+    ``ValueError`` naming the supported ones.  ``persistent`` keeps
     the TCP cluster resident across episodes (sessions); the simulator
     always retains its contexts, so only the net backend reads it.
     Imported lazily so the common path never touches the runtime
@@ -519,11 +521,7 @@ def distributed_select(
     max_attempts: int = 3,
     attempt_max_rounds: int | None = None,
     timeout_rounds: int | None = None,
-    timeline: bool = False,
-    trace: bool | Tracer = False,
-    spans: bool = False,
-    observers: Iterable[Any] | None = None,
-    profile: bool = False,
+    observe: str = "off",
     backend: str = "sim",
     net_options: Any = None,
 ) -> SelectResult:
@@ -559,11 +557,14 @@ def distributed_select(
     least ``2f + 2``.  For ``f < k/3`` the returned answer is never
     wrong — a corrupted attempt is always detected and retried.
 
-    Observability: ``timeline``/``trace``/``spans``/``observers``/
-    ``profile`` pass straight through to the :class:`Simulator` (see
-    its docs and :mod:`repro.obs`); the recorded spans and tracer ride
-    on ``result.raw``, and a profiled run's per-link counters feed
-    :mod:`repro.obs.profile`.
+    Observability: ``observe`` is the run's one observability level
+    (``"off"``, ``"spans"``, ``"profile"`` or ``"trace"``, each
+    recording everything the one before it does; see
+    :data:`~repro.kmachine.simulator.OBSERVE_LEVELS`).  The recorded
+    spans and tracer ride on ``result.raw``, the timeline on
+    ``result.metrics``, and a profiled run's per-link counters feed
+    :mod:`repro.obs.profile`.  No level changes the answer or the
+    round and message bills.
 
     Backends: ``backend="net"`` executes every attempt on the TCP
     runtime (:class:`repro.runtime.net.NetSimulator`, one OS process
@@ -573,7 +574,7 @@ def distributed_select(
     randomness matches the simulator seed-for-seed, so the answer is
     identical; crash-stop fault plans still drive the supervised
     recovery path, while probabilistic faults, Byzantine plans, the
-    reliable layer, tracing and observers require the default
+    reliable layer and ``observe="trace"`` require the default
     ``backend="sim"``.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
@@ -617,11 +618,7 @@ def distributed_select(
         bandwidth_bits=bandwidth_bits,
         measure_compute=measure_compute,
         cost_model=cost_model,
-        timeline=timeline,
-        trace=trace,
-        spans=spans,
-        observers=observers,
-        profile=profile,
+        observe=observe,
     )
 
     merged = np.concatenate([out.selected for out in result.outputs])
@@ -688,11 +685,7 @@ def distributed_knn(
     reliable: ReliabilityConfig | bool = False,
     max_attempts: int = 3,
     attempt_max_rounds: int | None = None,
-    timeline: bool = False,
-    trace: bool | Tracer = False,
-    spans: bool = False,
-    observers: Iterable[Any] | None = None,
-    profile: bool = False,
+    observe: str = "off",
     backend: str = "sim",
     net_options: Any = None,
     **knobs,
@@ -725,18 +718,21 @@ def distributed_knn(
     a potentially silent wrong answer), and only the ``sampled`` and
     ``unpruned`` algorithms support hardening.
 
-    Observability: ``timeline``/``trace``/``spans``/``observers``/
-    ``profile`` pass straight through to the :class:`Simulator` (see
-    its docs and :mod:`repro.obs`); the recorded spans and tracer ride
-    on ``result.raw``, and a profiled run's per-link counters feed
-    :mod:`repro.obs.profile`.
+    Observability: ``observe`` is the run's one observability level
+    (``"off"``, ``"spans"``, ``"profile"`` or ``"trace"``, each
+    recording everything the one before it does; see
+    :data:`~repro.kmachine.simulator.OBSERVE_LEVELS`).  The recorded
+    spans and tracer ride on ``result.raw``, the timeline on
+    ``result.metrics``, and a profiled run's per-link counters feed
+    :mod:`repro.obs.profile`.  No level changes the answer or the
+    round and message bills.
 
     Backends: ``backend="net"`` runs every attempt on the TCP runtime
     exactly as described for :func:`distributed_select` — identical
     answers (same seed ⇒ same protocol randomness), crash-stop fault
     plans supported, everything needing payload visibility
-    (probabilistic faults, Byzantine, reliable layer, trace,
-    observers) restricted to ``backend="sim"``.
+    (probabilistic faults, Byzantine, reliable layer,
+    ``observe="trace"``) restricted to ``backend="sim"``.
     """
     rng = np.random.default_rng(seed)
     dataset = (
@@ -801,11 +797,7 @@ def distributed_knn(
         bandwidth_bits=bandwidth_bits,
         measure_compute=measure_compute,
         cost_model=cost_model,
-        timeline=timeline,
-        trace=trace,
-        spans=spans,
-        observers=observers,
-        profile=profile,
+        observe=observe,
     )
 
     outputs: list[KNNOutput] = result.outputs

@@ -27,7 +27,18 @@ from typing import Sequence
 __all__ = ["main"]
 
 
-def _build_service(args: argparse.Namespace, *, spans: bool, trace: bool):
+def _observe(args: argparse.Namespace, *, export: bool) -> str:
+    """The observe level for a run: the event log when it is exported,
+    else the timeline and link counters under ``--profile``, else spans
+    on the exporting subcommands."""
+    if export and (args.chrome or args.jsonl):
+        return "trace"
+    if args.profile:
+        return "profile"
+    return "spans" if export else "off"
+
+
+def _build_service(args: argparse.Namespace, *, observe: str):
     import numpy as np
 
     from ..serve.service import KNNService
@@ -42,18 +53,15 @@ def _build_service(args: argparse.Namespace, *, spans: bool, trace: bool):
         partitioner=args.partitioner,
         balance_threshold=args.balance_threshold,
         auto_rebalance=not args.no_rebalance,
-        spans=spans,
-        trace=trace,
-        timeline=trace or args.profile,
-        profile=args.profile,
+        observe=observe,
         backend=args.backend,
     )
 
 
-def _run(args: argparse.Namespace, *, spans: bool, trace: bool):
+def _run(args: argparse.Namespace, *, observe: str):
     from .churn import make_churn, run_churn
 
-    service = _build_service(args, spans=spans, trace=trace)
+    service = _build_service(args, observe=observe)
     stream = make_churn(
         args.ops,
         args.dim,
@@ -97,9 +105,7 @@ def _export(service, args: argparse.Namespace) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    service, report = _run(
-        args, spans=True, trace=bool(args.chrome or args.jsonl)
-    )
+    service, report = _run(args, observe=_observe(args, export=True))
     print(
         f"dyn demo on k={args.k}, l={args.l}, corpus n={args.corpus} "
         f"({args.partitioner} partition)"
@@ -111,9 +117,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
-    service, report = _run(
-        args, spans=True, trace=bool(args.chrome or args.jsonl)
-    )
+    service, report = _run(args, observe=_observe(args, export=True))
     print(report.summary())
     session = service.session
     if session.mutations:
@@ -128,7 +132,7 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    service, report = _run(args, spans=False, trace=False)
+    service, report = _run(args, observe=_observe(args, export=False))
     session = service.session
     payload = report.to_dict()
     payload["mutations"] = [m.to_dict() for m in session.mutations]

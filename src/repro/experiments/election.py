@@ -30,7 +30,7 @@ __all__ = ["ElectionConfig", "ElectionCell", "ElectionResult", "run_election"]
 class ElectionConfig:
     """Sweep configuration for the election experiment.
 
-    ``spans=True`` runs every trial with phase-span recording (see
+    ``observe="spans"`` runs every trial with phase-span recording (see
     :mod:`repro.obs`) and summarises the ``election`` span's round
     delta per cell — the protocol-phase cost as the span machinery
     measures it, which should agree with the whole-run round metric
@@ -41,7 +41,7 @@ class ElectionConfig:
     k_values: Sequence[int] = (4, 16, 64, 256)
     repetitions: int = 10
     seed: int = 9
-    spans: bool = False
+    observe: str = "off"
 
 
 @dataclass
@@ -55,7 +55,7 @@ class ElectionCell:
     agreements: int
     trials: int
     sqrt_bound: float  # √k · log2^{3/2} k, the [9] reference curve
-    span_rounds: Summary | None = None  # "election" span delta (spans=True runs)
+    span_rounds: Summary | None = None  # "election" span delta (observed runs)
 
 
 @dataclass
@@ -120,14 +120,14 @@ def run_election(config: ElectionConfig | None = None) -> ElectionResult:
                     program=FunctionProgram(prog, name=f"elect-{method}"),
                     seed=int(rng.integers(0, 2**31)),
                     bandwidth_bits=512,
-                    spans=cfg.spans,
+                    observe=cfg.observe,
                 )
                 res = sim.run()
                 rounds.append(res.metrics.rounds)
                 msgs.append(res.metrics.messages)
                 if len(set(res.outputs)) == 1:
                     agreements += 1
-                if cfg.spans and res.spans:
+                if res.spans:
                     span_rounds.append(
                         max(s.rounds for s in res.spans if s.name == "election")
                     )

@@ -131,7 +131,7 @@ def run_sensitivity(config: SensitivityConfig | None = None) -> SensitivityResul
                 seed=sim_seed,
                 bandwidth_bits=cfg.bandwidth_bits,
                 measure_compute=True,
-                timeline=True,
+                observe="profile",
             )
             metrics = sim.run().metrics
             timelines[name].append(metrics.timeline)

@@ -64,7 +64,7 @@ from .reliable import (
     reliable_send,
 )
 from .rng import spawn_named_stream, spawn_streams
-from .simulator import SimulationResult, Simulator, run_program
+from .simulator import OBSERVE_LEVELS, SimulationResult, Simulator, run_program
 from .sizing import DEFAULT_POLICY, SizingPolicy, payload_bits
 from .timing import DEFAULT_COST_MODEL, ZERO_COST_MODEL, CostModel
 from .tracing import NullTracer, TraceEvent, Tracer
@@ -93,6 +93,7 @@ __all__ = [
     "Network",
     "NullObs",
     "NullTracer",
+    "OBSERVE_LEVELS",
     "Outage",
     "PeerCrashedError",
     "Program",

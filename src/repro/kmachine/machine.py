@@ -158,8 +158,8 @@ class MachineContext:
         #: peers this machine has been notified are crashed (fault model's
         #: synchronous failure detector; empty in fault-free runs)
         self.crashed_peers: set[int] = set()
-        #: observability handle — a no-op unless the simulator was
-        #: constructed with ``spans=True`` (see :mod:`repro.obs`)
+        #: observability handle — a no-op unless the run records spans
+        #: (``observe="spans"`` or above; see :mod:`repro.obs`)
         self.obs: Any = NULL_OBS
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ __all__ = ["RoundRecord", "Metrics"]
 
 @dataclass
 class RoundRecord:
-    """Per-round accounting, kept when ``timeline=True``.
+    """Per-round accounting, kept from ``observe="profile"`` up.
 
     The trailing keyword fields were added by the cost-model profiler
     (see :mod:`repro.obs.profile`) and default to "unknown" so old
@@ -28,8 +28,7 @@ class RoundRecord:
     :meth:`repro.kmachine.timing.CostModel.round_cost`), while
     ``top_link``/``top_ingress`` name *which* link transmitted
     ``max_link_bits`` and *which* machine received
-    ``max_dst_messages``; the latter two are recorded only when the
-    simulator runs with ``profile=True``.
+    ``max_dst_messages``.
     """
 
     round: int
@@ -63,7 +62,7 @@ class Metrics:
         phases (election vs sampling vs selection iterations).
     per_link_messages / per_link_bits:
         Breakdown by directed ``(src, dst)`` link, populated only when
-        the simulator runs with ``profile=True`` (the cost-model
+        the run is observed at ``"profile"`` or above (the cost-model
         profiler's traffic matrix; see :mod:`repro.obs.profile`).
         Empty dicts otherwise, so the disabled path costs nothing.
     max_link_queue_bits:
@@ -101,8 +100,8 @@ class Metrics:
         deliveries filtered by sequence-number dedup, and deliveries
         rejected by checksum validation.
     timeline:
-        Optional per-round records (populated when the simulator is
-        constructed with ``timeline=True``).
+        Optional per-round records (populated when the run is observed
+        at ``"profile"`` or above).
     """
 
     rounds: int = 0

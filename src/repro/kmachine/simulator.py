@@ -39,7 +39,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -55,10 +55,36 @@ from .sizing import SizingPolicy
 from .timing import CostModel, ZERO_COST_MODEL
 from .tracing import NullTracer, Tracer
 
-__all__ = ["Simulator", "SimulationResult", "run_program"]
+__all__ = [
+    "OBSERVE_LEVELS",
+    "Simulator",
+    "SimulationResult",
+    "observe_level",
+    "run_program",
+]
 
 #: Default ceiling on rounds before declaring deadlock.
 DEFAULT_MAX_ROUNDS = 1_000_000
+
+#: What a run records, cumulatively: each level keeps everything the
+#: one before it does.  ``"spans"`` adds phase spans; ``"profile"`` the
+#: per-round timeline, per-link counters and busiest-link identities;
+#: ``"trace"`` the send/deliver/halt/fault event log.
+OBSERVE_LEVELS = ("off", "spans", "profile", "trace")
+
+
+def observe_level(observe: str, supported: Sequence[str], backend: str) -> int:
+    """Rank of ``observe`` in :data:`OBSERVE_LEVELS` (``0`` is off).
+
+    Raises ``ValueError`` naming ``backend``'s ``supported`` levels when
+    that backend cannot record ``observe``.
+    """
+    if observe not in supported:
+        raise ValueError(
+            f"backend {backend!r} supports observe levels {tuple(supported)}, "
+            f"got {observe!r}"
+        )
+    return OBSERVE_LEVELS.index(observe)
 
 
 @dataclass
@@ -77,11 +103,10 @@ class SimulationResult:
         inspect per-machine state (e.g. each machine's output point
         set after an ℓ-NN run).
     tracer:
-        The tracer used (a :class:`NullTracer` unless tracing was on).
+        The tracer used (a :class:`NullTracer` below ``observe="trace"``).
     spans:
-        Phase spans recorded when the simulator was constructed with
-        ``spans=True`` (a list of :class:`repro.obs.spans.Span`);
-        empty otherwise.
+        Phase spans recorded from ``observe="spans"`` up (a list of
+        :class:`repro.obs.spans.Span`); empty otherwise.
     """
 
     outputs: list[Any]
@@ -118,31 +143,20 @@ class Simulator:
         default to keep complexity experiments overhead-free.
     max_rounds:
         Deadlock guard; exceeded ⇒ :class:`DeadlockError`.
-    timeline:
-        Keep a per-round :class:`RoundRecord` list.
-    trace:
-        Record send/deliver/halt events on a :class:`Tracer`.  Pass
-        ``True`` for an unbounded tracer, or a preconfigured
-        :class:`Tracer` instance (e.g. ``Tracer(max_events=10_000)``
-        for a memory-bounded ring buffer).
-    spans:
-        Attach a :class:`repro.obs.spans.SpanRecorder` and hand each
-        context a live ``ctx.obs``, so ``with ctx.obs.span(...)``
-        blocks in protocol code record phase spans.  Off by default;
-        disabled instrumentation costs one no-op context manager per
-        phase.
-    profile:
-        Cost-model profiling: record per-(src,dst) link counters on
-        :attr:`Metrics.per_link_messages`/``per_link_bits`` and the
-        busiest-link / busiest-receiver identities on every timeline
-        record (implies ``timeline=True``).  Feeds the binding-term
-        and traffic-matrix analysis in :mod:`repro.obs.profile`; off
-        by default so unprofiled runs pay nothing.
-    observers:
-        Optional :class:`repro.obs.observers.RoundObserver` instances;
-        each gets ``on_round(round_idx, metrics)`` after every round
-        and ``on_finish(metrics)`` (if defined) when the run ends,
-        even on abort.
+    observe:
+        What the run records, one of :data:`OBSERVE_LEVELS` (each level
+        includes the ones before it).  ``"spans"`` attaches a
+        :class:`repro.obs.spans.SpanRecorder` and hands each context a
+        live ``ctx.obs``, so ``with ctx.obs.span(...)`` blocks in
+        protocol code record phase spans.  ``"profile"`` adds the
+        per-round :class:`RoundRecord` timeline, per-(src,dst) link
+        counters on :attr:`Metrics.per_link_messages`/``per_link_bits``
+        and the busiest-link / busiest-receiver identities on every
+        record: the input of :mod:`repro.obs.profile`.  ``"trace"``
+        adds the send/deliver/halt/fault event log on a :class:`Tracer`.
+        ``"off"`` (the default) records none of these, and disabled
+        instrumentation costs one no-op context manager per phase.
+        No level changes the protocol's rounds, messages or answers.
     faults:
         Optional :class:`~repro.kmachine.faults.FaultPlan`.  A
         :class:`~repro.kmachine.faults.FaultInjector` seeded from the
@@ -163,6 +177,9 @@ class Simulator:
         and duplicate suppression under the program's feet.
     """
 
+    #: the ``observe`` levels this executor can record
+    OBSERVE_LEVELS = OBSERVE_LEVELS
+
     def __init__(
         self,
         k: int,
@@ -174,39 +191,28 @@ class Simulator:
         cost_model: CostModel | None = None,
         measure_compute: bool = False,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
-        timeline: bool = False,
-        trace: bool | Tracer = False,
         sizing: SizingPolicy | None = None,
         faults: FaultPlan | None = None,
         byzantine: ByzantinePlan | None = None,
         reliable: ReliabilityConfig | bool | None = None,
-        spans: bool = False,
-        observers: Iterable[Any] | None = None,
-        profile: bool = False,
+        observe: str = "off",
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if inputs is not None and not callable(inputs) and len(inputs) != k:
             raise ValueError(f"inputs has length {len(inputs)}, expected k={k}")
+        level = observe_level(observe, self.OBSERVE_LEVELS, "sim")
         self.k = k
         self.program = program
         self.cost_model = cost_model or ZERO_COST_MODEL
         self.measure_compute = measure_compute
         self.max_rounds = max_rounds
-        #: cost-model profiling: per-(src,dst) link counters on the
-        #: metrics, busiest-link/receiver identities on each timeline
-        #: record (implies ``timeline``).  Input to
-        #: :mod:`repro.obs.profile`'s binding-term analysis.
-        self.profile = profile
-        self.timeline = timeline or profile
+        #: the timeline plus per-link detail (``"profile"`` and above)
+        self.profile = level >= 2
         self.sizing = sizing or SizingPolicy()
         self.network = Network(k, bandwidth_bits=bandwidth_bits, policy=policy)
-        self.network.record_link_detail = profile
-        if isinstance(trace, Tracer):
-            self.tracer: Tracer | NullTracer = trace
-        else:
-            self.tracer = Tracer() if trace else NullTracer()
-        self.observers = list(observers) if observers is not None else []
+        self.network.record_link_detail = self.profile
+        self.tracer: Tracer | NullTracer = Tracer() if level >= 3 else NullTracer()
         self.fault_plan = faults
         self.byzantine_plan = byzantine
         if faults is not None or (byzantine is not None and not byzantine.trivial):
@@ -259,10 +265,11 @@ class Simulator:
             for rank in range(k)
         ]
 
-        #: live span recorder (``None`` unless ``spans=True``); imported
-        #: lazily so the core machine model never depends on repro.obs
+        #: live span recorder (``None`` below ``observe="spans"``);
+        #: imported lazily so the core machine model never depends on
+        #: repro.obs
         self.span_recorder: Any = None
-        if spans:
+        if level >= 1:
             from ..obs.spans import SpanRecorder
 
             self.span_recorder = SpanRecorder(self.metrics, self.tracer)
@@ -576,7 +583,7 @@ class Simulator:
                     if any_traffic or deliveries:
                         active_rounds = round_idx + 1
 
-                if self.timeline:
+                if profiling:
                     metrics.timeline.append(
                         RoundRecord(
                             round=round_idx,
@@ -588,17 +595,10 @@ class Simulator:
                             comm_seconds=comm_cost,
                             active_machines=alive,
                             max_dst_messages=self.network.last_step_max_dst_messages,
-                            top_link=(
-                                self.network.last_step_top_link if profiling else None
-                            ),
-                            top_ingress=(
-                                self.network.last_step_top_dst if profiling else None
-                            ),
+                            top_link=self.network.last_step_top_link,
+                            top_ingress=self.network.last_step_top_dst,
                         )
                     )
-
-                for obs in self.observers:
-                    obs.on_round(round_idx, metrics)
 
                 round_idx += 1
                 if alive == 0:
@@ -649,10 +649,6 @@ class Simulator:
             self._staged_notices = staged_notices
             if recorder is not None:
                 recorder.close_all()
-            for obs in self.observers:
-                on_finish = getattr(obs, "on_finish", None)
-                if on_finish is not None:
-                    on_finish(metrics)
 
         return SimulationResult(
             outputs=outputs,

@@ -3,13 +3,13 @@
 A :class:`Tracer` records simulator events (round boundaries, sends,
 deliveries, halts) as plain tuples so tests can assert on protocol
 behaviour and humans can dump a readable transcript of small runs.
-Tracing is off by default — enabling it on million-point benchmarks
-would be both slow and useless.
+Tracing is off by default (it is the ``observe="trace"`` level) —
+enabling it on million-point benchmarks would be both slow and
+useless.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -40,34 +40,22 @@ class TraceEvent:
 class Tracer:
     """Collects :class:`TraceEvent` records during a simulation.
 
-    ``max_events`` bounds memory: when set, the tracer keeps only the
-    most recent ``max_events`` records in a ring buffer and counts the
-    overwritten ones in :attr:`dropped_events`, so tracing a large run
-    can never grow without bound.  The default (``None``) keeps every
-    event, exactly as before.
+    The simulator builds one for every ``observe="trace"`` run and
+    keeps every event.
     """
 
     enabled = True
 
-    def __init__(self, max_events: int | None = None) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.max_events = max_events
-        #: events discarded from the ring buffer (0 when unbounded)
-        self.dropped_events = 0
-        self._events: deque[TraceEvent] | list[TraceEvent] = (
-            deque(maxlen=max_events) if max_events is not None else []
-        )
+    def __init__(self) -> None:
+        self._events: list[TraceEvent] = []
 
     @property
     def events(self) -> Sequence[TraceEvent]:
-        """The retained events, oldest first (a list or bounded deque)."""
+        """The recorded events, oldest first."""
         return self._events
 
     def record(self, round: int, kind: str, machine: int | None = None, **detail: Any) -> None:
-        """Append one event (dropping the oldest when at capacity)."""
-        if self.max_events is not None and len(self._events) == self.max_events:
-            self.dropped_events += 1
+        """Append one event."""
         self._events.append(
             TraceEvent(round=round, kind=kind, machine=machine, detail=detail)
         )

@@ -4,7 +4,23 @@ The paper's entire contribution is a *budget* — Algorithm 1 finishes
 in O(log n) rounds / O(k log n) messages (Theorem 2.2), Algorithm 2 in
 O(log ℓ) rounds / O(k log ℓ) messages with at most 11ℓ survivors after
 pruning (Lemma 2.3, Theorem 2.4).  This package makes those budgets
-*observable* per protocol phase instead of per run:
+*observable* per protocol phase instead of per run.
+
+A run records what its one ``observe`` level asks for; each level
+keeps everything the one before it does:
+
+===========  ====================================================
+``off``      nothing (the default; instrumentation is a no-op)
+``spans``    phase spans (``result.raw.spans``)
+``profile``  plus the per-round timeline, per-link counters and
+             busiest-link identities (``result.metrics``)
+``trace``    plus the send/deliver/halt/fault event log
+             (``result.raw.tracer``)
+===========  ====================================================
+
+The simulator records every level, the TCP backend ``off``/``spans``/
+``profile`` and the multiprocess backend ``off``/``spans``.  The
+modules:
 
 * :mod:`repro.obs.spans` — hierarchical, round-clocked spans opened by
   protocol code (``with ctx.obs.span("sampling"): ...``) that snapshot
@@ -16,14 +32,12 @@ pruning (Lemma 2.3, Theorem 2.4).  This package makes those budgets
 * :mod:`repro.obs.conformance` — a theory-conformance monitor checking
   observed runs against the paper's bounds and recording pass/fail
   verdicts with the measured constants;
-* :mod:`repro.obs.observers` — per-round simulator callbacks,
-  including a live console progress reporter;
 * :mod:`repro.obs.profile` / :mod:`repro.obs.report` — the cost-model
   profiler: per-round α/β/γ binding-term attribution against
   :class:`~repro.kmachine.timing.CostModel`, k×k traffic matrices,
   leader-ingest share, per-phase cost attribution, critical-path
   segments and a modelled-time flamegraph, rendered as JSON or a
-  self-contained HTML report (needs a ``profile=True`` run).
+  self-contained HTML report (needs an ``observe="profile"`` run).
 
 Inspect or convert trace files from the shell::
 
@@ -48,11 +62,9 @@ from .export import (
     ROUND_TICK_US,
     chrome_trace,
     read_jsonl,
-    read_jsonl_history,
     write_chrome_trace,
     write_jsonl,
 )
-from .observers import MetricsHistory, ProgressReporter, RoundObserver
 from .profile import (
     CostProfile,
     CriticalSegment,
@@ -75,13 +87,10 @@ __all__ = [
     "CostProfile",
     "CriticalSegment",
     "MachineObs",
-    "MetricsHistory",
     "PhaseAttribution",
     "PhaseCost",
-    "ProgressReporter",
     "ROUND_TICK_US",
     "RoundCost",
-    "RoundObserver",
     "Span",
     "SpanRecorder",
     "attribute_round",
@@ -94,7 +103,6 @@ __all__ = [
     "served_message_budget",
     "phase_attribution",
     "read_jsonl",
-    "read_jsonl_history",
     "render_html",
     "write_chrome_trace",
     "write_jsonl",

@@ -8,8 +8,8 @@ Subcommands:
   phase-attribution report.
 * ``convert <run.jsonl> <out.json>`` — convert a JSONL log to Chrome
   ``trace_event`` JSON (load it at https://ui.perfetto.dev).
-* ``demo`` — run a seeded ``distributed_knn`` with spans and tracing
-  on, print attribution and theory conformance, and optionally export
+* ``demo`` — run a seeded ``distributed_knn`` at ``observe="trace"``,
+  print attribution and theory conformance, and optionally export
   both formats (``--jsonl`` / ``--chrome``).
 * ``profile`` — run a seeded ``distributed_knn`` under the cost-model
   profiler (:mod:`repro.obs.profile`): per-round binding-term
@@ -25,8 +25,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .conformance import check_knn_result
-from .export import read_jsonl, read_jsonl_history, write_chrome_trace, write_jsonl
-from .observers import MetricsHistory
+from .export import read_jsonl, write_chrome_trace, write_jsonl
 from .spans import Span, phase_attribution
 
 __all__ = ["main"]
@@ -86,15 +85,12 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     meta, events, spans, metrics = read_jsonl(args.path)
-    history = read_jsonl_history(args.path)
-    timeline = metrics.timeline if metrics is not None else None
+    timeline = metrics.timeline if metrics is not None else []
     name = str(meta.get("name", "repro")) if meta else "repro"
-    out = write_chrome_trace(
-        args.out, events, spans, timeline, name=name, history=history
-    )
+    out = write_chrome_trace(args.out, events, spans, timeline, name=name)
     print(
         f"wrote {out} ({len(events)} events, {len(spans)} spans, "
-        f"{len(history)} history samples)"
+        f"{len(timeline)} rounds)"
     )
     return 0
 
@@ -107,17 +103,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(args.seed)
     points = rng.uniform(0.0, 1.0, (args.k * args.points_per_machine, args.dim))
-    history = MetricsHistory()
     result = distributed_knn(
-        points,
-        query=points[0],
-        l=args.l,
-        k=args.k,
-        seed=args.seed,
-        spans=True,
-        trace=True,
-        timeline=True,
-        observers=[history],
+        points, query=points[0], l=args.l, k=args.k, seed=args.seed, observe="trace"
     )
     print(f"distributed_knn: k={args.k} l={args.l} n={len(points)}")
     print("metrics: " + result.metrics.summary())
@@ -134,7 +121,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             result.metrics,
             meta={"name": "knn-demo", "k": args.k, "l": args.l,
                   "seed": args.seed, "n": len(points)},
-            history=history,
         )
         print(f"wrote {path}")
     if args.chrome:
@@ -144,7 +130,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             result.raw.spans,
             result.metrics.timeline,
             name="knn-demo",
-            history=history,
         )
         print(f"wrote {path}")
     return 0 if report.passed and attribution.coverage >= 0.95 else 1
@@ -173,9 +158,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         l=args.l,
         k=args.k,
         seed=args.seed,
-        spans=True,
-        timeline=True,
-        profile=True,
+        observe="profile",
         cost_model=cost_model,
     )
     profile = CostProfile(

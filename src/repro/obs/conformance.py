@@ -115,7 +115,7 @@ def _log2(x: float) -> float:
 def _ingest_params(metrics: Metrics) -> dict[str, Any]:
     """Leader-ingest context for a report's params, when measurable.
 
-    Profiled runs (``Simulator(profile=True)``) carry per-link
+    Profiled runs (``Simulator(observe="profile")``) carry per-link
     counters; from them the report can name the hot machine and its
     share of all message arrivals — so a failed message-budget check
     says *where* the traffic piled up, not just that it did.  Empty on

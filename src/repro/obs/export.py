@@ -11,9 +11,10 @@ Two on-disk formats, one logical stream:
   Machines map to threads (tid ``rank + 1``; tid 0 is the simulator),
   spans become complete ``"X"`` slices, tracer events become instant
   ``"i"`` marks, and per-round timeline records become ``"C"``
-  counters.  The clock is the **round index**: one round is
-  :data:`ROUND_TICK_US` microseconds of trace time, so "1 ms" in the
-  viewer reads as "1 round".
+  counters (per-round traffic and its running total).  The clock is
+  the **round index**: one round is :data:`ROUND_TICK_US`
+  microseconds of trace time, so "1 ms" in the viewer reads as
+  "1 round".
 
 Everything here is stdlib ``json`` over plain dicts; NumPy scalars and
 tuples in event payloads are coerced via :func:`_json_safe`.
@@ -35,7 +36,6 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "read_jsonl",
-    "read_jsonl_history",
 ]
 
 #: Trace-time microseconds per simulated round (1 round = 1 ms).
@@ -73,18 +73,6 @@ def _events_of(tracer: Tracer | NullTracer | Iterable[TraceEvent] | None) -> lis
     return list(events)
 
 
-def _history_samples(history: Any) -> list[tuple[int, int, int]]:
-    """Normalise a history input to ``(round, messages, bits)`` triples.
-
-    Accepts a :class:`~repro.obs.observers.MetricsHistory` (or anything
-    with a ``samples`` attribute) or a bare iterable of triples.
-    """
-    if history is None:
-        return []
-    samples = getattr(history, "samples", history)
-    return [(int(r), int(m), int(b)) for r, m, b in samples]
-
-
 def _tid(machine: int | None) -> int:
     """Machine rank → Chrome thread id (tid 0 is the simulator).
 
@@ -103,17 +91,16 @@ def chrome_trace(
     timeline: Iterable[RoundRecord] | None = None,
     *,
     name: str = "repro",
-    history: Any = None,
 ) -> dict[str, Any]:
     """Build a Chrome ``trace_event`` document (the JSON object form).
 
     Any combination of inputs may be given; machines are discovered
-    from whatever is present and named as threads.  ``history`` is a
-    :class:`~repro.obs.observers.MetricsHistory` (or bare
-    ``(round, messages, bits)`` triples): its cumulative curves become
-    a ``"cumulative"`` counter track, complementing the per-round
-    ``"traffic"`` deltas from the timeline.  The result is a plain
-    dict — pass it to ``json.dump`` or use :func:`write_chrome_trace`.
+    from whatever is present and named as threads.  Each timeline
+    record becomes a point on two counter tracks: ``"traffic"`` (the
+    round's own messages and bits) and ``"cumulative"`` (the running
+    totals through that round, i.e. the run's budget burn-down).  The
+    result is a plain dict — pass it to ``json.dump`` or use
+    :func:`write_chrome_trace`.
     """
     events = _events_of(tracer)
     span_list = list(spans) if spans is not None else []
@@ -205,7 +192,10 @@ def chrome_trace(
             }
         )
 
-    for round_idx, messages, bits in _history_samples(history):
+    messages = bits = 0
+    for rec in records:
+        messages += rec.messages_sent
+        bits += rec.bits_sent
         trace_events.append(
             {
                 "name": "cumulative",
@@ -213,7 +203,7 @@ def chrome_trace(
                 "ph": "C",
                 "pid": _PID,
                 "tid": 0,
-                "ts": round_idx * ROUND_TICK_US,
+                "ts": rec.round * ROUND_TICK_US,
                 "args": {"messages": messages, "bits": bits},
             }
         )
@@ -232,12 +222,11 @@ def write_chrome_trace(
     timeline: Iterable[RoundRecord] | None = None,
     *,
     name: str = "repro",
-    history: Any = None,
 ) -> Path:
     """Write :func:`chrome_trace` output to ``path``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = chrome_trace(tracer, spans, timeline, name=name, history=history)
+    doc = chrome_trace(tracer, spans, timeline, name=name)
     with path.open("w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -254,21 +243,17 @@ def write_jsonl(
     metrics: Metrics | None = None,
     *,
     meta: Mapping[str, Any] | None = None,
-    history: Any = None,
 ) -> Path | None:
     """Write a structured JSONL event log.
 
     Line types: one ``meta`` header (run parameters plus counts), then
-    ``event`` lines (tracer events in order), ``span`` lines, an
-    optional ``history`` line (a
-    :class:`~repro.obs.observers.MetricsHistory`'s per-round cumulative
-    ``(round, messages, bits)`` curve), and an optional trailing
-    ``metrics`` line carrying :meth:`Metrics.to_dict`.  Returns the
-    path (``None`` when writing to an open stream).
+    ``event`` lines (tracer events in order), ``span`` lines, and an
+    optional trailing ``metrics`` line carrying :meth:`Metrics.to_dict`
+    (with the timeline, when one was recorded).  Returns the path
+    (``None`` when writing to an open stream).
     """
     events = _events_of(tracer)
     span_list = list(spans) if spans is not None else []
-    samples = _history_samples(history)
 
     def _emit(fh: IO[str]) -> None:
         header: dict[str, Any] = {
@@ -296,17 +281,6 @@ def write_jsonl(
             )
         for span in span_list:
             fh.write(json.dumps({"type": "span", **span.to_dict()}) + "\n")
-        if samples:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "history",
-                        "columns": ["round", "messages", "bits"],
-                        "samples": [list(s) for s in samples],
-                    }
-                )
-                + "\n"
-            )
         if metrics is not None:
             fh.write(
                 json.dumps({"type": "metrics", **_json_safe(metrics.to_dict())})
@@ -328,8 +302,8 @@ def read_jsonl(
 ) -> tuple[dict[str, Any], list[TraceEvent], list[Span], Metrics | None]:
     """Load a JSONL log back into ``(meta, events, spans, metrics)``.
 
-    Unknown line types are skipped (forward compatibility); a missing
-    ``meta`` line yields an empty dict.
+    Unknown line types (such as the ``history`` line older logs carry)
+    are skipped; a missing ``meta`` line yields an empty dict.
     """
     if hasattr(path, "read"):
         lines = path.read().splitlines()  # type: ignore[union-attr]
@@ -361,26 +335,3 @@ def read_jsonl(
         elif kind == "metrics":
             metrics = Metrics.from_dict(record)
     return meta, events, spans, metrics
-
-
-def read_jsonl_history(path: str | Path | IO[str]) -> list[tuple[int, int, int]]:
-    """Load the ``history`` line of a JSONL log as sample triples.
-
-    Returns ``[]`` for logs without one (all pre-profiler logs).  Kept
-    separate from :func:`read_jsonl` so its widely-unpacked 4-tuple
-    return stays stable.
-    """
-    if hasattr(path, "read"):
-        lines = path.read().splitlines()  # type: ignore[union-attr]
-    else:
-        lines = Path(path).read_text().splitlines()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        if record.get("type") == "history":
-            return [
-                (int(r), int(m), int(b)) for r, m, b in record.get("samples", [])
-            ]
-    return []

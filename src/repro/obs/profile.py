@@ -13,7 +13,7 @@ optimisation should attack latency (fewer rounds), bandwidth (smaller
 payloads on the busiest link) or receiver overhead (spread the
 leader's ingress over an aggregation tree).
 
-Inputs come from a simulation run with ``profile=True``
+Inputs come from a simulation run with ``observe="profile"``
 (:class:`repro.kmachine.simulator.Simulator`): the run's
 :class:`~repro.kmachine.metrics.Metrics` then carries per-(src,dst)
 link counters and a timeline whose records name the busiest link and
@@ -273,7 +273,7 @@ class CostProfile:
     ----------
     metrics:
         A profiled run's snapshot — per-link counters populated and a
-        timeline recorded (``Simulator(profile=True)``), or the same
+        timeline recorded (``Simulator(observe="profile")``), or the same
         loaded back from a JSONL log.
     cost_model:
         The α–β–γ constants to attribute with.  Pass the model the run

@@ -174,7 +174,7 @@ document.getElementById("tiles").innerHTML = [
           `<td>${fmt(p.messages)}</td><td>${fmt(p.bits)}</td>` +
           `<td>${secs(p.seconds)}</td><td class="name">${terms}</td></tr>`;
       }).join("") + "</table>"
-    : "<p>No spans in this run (pass spans=True / --no-spans omitted).</p>";
+    : "<p>No spans in this run (every observe level but off records them).</p>";
 }
 
 // Flamegraph: nested rows, widths proportional to modelled seconds.

@@ -13,9 +13,10 @@ context it already holds::
 ``ctx.obs`` is a no-op by default (see
 :class:`repro.kmachine.machine.NullObs`), so instrumented protocols
 run unchanged — and unmeasured — outside an instrumented simulation.
-Passing ``spans=True`` to :class:`~repro.kmachine.simulator.Simulator`
-attaches a :class:`SpanRecorder` and the same ``with`` blocks start
-producing data.
+Passing ``observe="spans"`` (or any higher level) to
+:class:`~repro.kmachine.simulator.Simulator` attaches a
+:class:`SpanRecorder` and the same ``with`` blocks start producing
+data.
 
 The clock is the *round index*, not wall time: the k-machine model's
 time is rounds, and the paper's theorems bound rounds, so that is what

@@ -113,11 +113,19 @@ def partition_skewed(
     weights /= weights.sum()
     counts = np.maximum(1, np.floor(weights * n).astype(int)) if n >= k else np.zeros(k, int)
     if n >= k:
-        # Fix rounding so counts sum to n while keeping every machine nonempty.
-        diff = n - counts.sum()
-        counts[0] += diff
-        if counts[0] < 1:
-            raise ValueError("skew too extreme for this (n, k)")
+        # Fix rounding so counts sum to n while keeping every machine
+        # nonempty: a shortfall goes to machine 0, a surplus comes off
+        # the largest counts first (machine 0's, then the next), none
+        # below 1.  n >= k leaves enough above 1 to cover the surplus.
+        surplus = counts.sum() - n
+        if surplus < 0:
+            counts[0] -= surplus
+        for rank in np.argsort(-counts, kind="stable"):
+            if surplus <= 0:
+                break
+            take = min(surplus, counts[rank] - 1)
+            counts[rank] -= take
+            surplus -= take
     else:
         counts[:n] = 1
     perm = rng.permutation(n)

@@ -60,9 +60,9 @@ def _net_options(args: argparse.Namespace):
     )
 
 
-def _run_knn(k, options, *, n_per_machine=2048, dim=8, l=16, seed=7,
-             timeline=True, profile=False):
-    """One distributed_knn run on the net backend; returns (result, wall)."""
+def _run_knn(k, options, *, n_per_machine=2048, dim=8, l=16, seed=7):
+    """One profiled distributed_knn run on the net backend; returns
+    (result, wall)."""
     from ..core.driver import distributed_knn
 
     rng = np.random.default_rng(seed)
@@ -70,7 +70,7 @@ def _run_knn(k, options, *, n_per_machine=2048, dim=8, l=16, seed=7,
     query = rng.standard_normal(dim)
     started = time.perf_counter()
     result = distributed_knn(
-        points, query, l, k, seed=seed, timeline=timeline, profile=profile,
+        points, query, l, k, seed=seed, observe="profile",
         backend="net", net_options=options,
     )
     return result, time.perf_counter() - started
@@ -191,7 +191,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             dim=args.dim,
             l=args.l,
             seed=args.seed,
-            timeline=True,
         )
         rows.append({
             "k": k,

@@ -207,7 +207,7 @@ def predicted_wall_seconds(model: CostModel, metrics: Metrics) -> float:
     measured compute — the number to compare against the run's actual
     wall seconds when validating a calibration (the bench gate asserts
     agreement within 3×).  Requires the run to have recorded a
-    ``timeline`` (``timeline=True``/``profile=True``).
+    ``timeline`` (``observe="profile"``).
     """
     if not metrics.timeline:
         raise ValueError("predicted_wall_seconds needs a recorded timeline")

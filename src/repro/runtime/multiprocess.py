@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence
 from ..kmachine.errors import DeadlockError, ProtocolError
 from ..kmachine.machine import Program
 from ..kmachine.rng import spawn_streams
-from ..kmachine.simulator import _draw_unique_ids
+from ..kmachine.simulator import _draw_unique_ids, observe_level
 from .transport import RoundDown, RoundUp, RoundWorker, WorkerDone, WorkerFailed
 
 __all__ = ["MultiprocessResult", "MultiprocessSimulator", "WorkerCrashedError"]
@@ -79,8 +79,8 @@ class MultiprocessResult:
     measured from first round to last (process startup excluded,
     since a long-lived deployment would amortise it);
     ``spans`` the per-machine phase spans gathered from the workers
-    when the simulator was constructed with ``spans=True`` (a list of
-    :class:`repro.obs.spans.Span`, all machines concatenated).
+    when the simulator was constructed with ``observe="spans"`` (a list
+    of :class:`repro.obs.spans.Span`, all machines concatenated).
     """
 
     outputs: list[Any]
@@ -139,6 +139,10 @@ class MultiprocessSimulator:
     throttled.  Use :meth:`run` once per instance.
     """
 
+    #: the ``observe`` levels this executor can record: workers gather
+    #: their spans on halt, and nothing finer crosses the pipes
+    OBSERVE_LEVELS = ("off", "spans")
+
     def __init__(
         self,
         k: int,
@@ -147,7 +151,7 @@ class MultiprocessSimulator:
         seed: int | None = None,
         max_rounds: int = _DEFAULT_MAX_ROUNDS,
         round_timeout: float | None = 60.0,
-        spans: bool = False,
+        observe: str = "off",
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -159,7 +163,7 @@ class MultiprocessSimulator:
         self.seed = seed
         self.max_rounds = max_rounds
         #: record phase spans in every worker and gather them on halt
-        self.spans = spans
+        self.spans = observe_level(observe, self.OBSERVE_LEVELS, "multiprocess") >= 1
         #: seconds the coordinator waits for one worker's round report
         #: before declaring it dead; a worker killed by the OS (OOM,
         #: signal) then raises :class:`WorkerCrashedError` instead of

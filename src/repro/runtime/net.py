@@ -66,7 +66,7 @@ from ..kmachine.faults import FaultPlan
 from ..kmachine.machine import Program
 from ..kmachine.metrics import Metrics, RoundRecord
 from ..kmachine.rng import spawn_streams
-from ..kmachine.simulator import SimulationResult, _draw_unique_ids
+from ..kmachine.simulator import SimulationResult, _draw_unique_ids, observe_level
 from ..kmachine.timing import CostModel, ZERO_COST_MODEL
 from ..kmachine.tracing import NullTracer
 from . import codec
@@ -448,8 +448,6 @@ class _Cluster:
         metrics: Metrics,
         cost_model: CostModel,
         *,
-        spans: bool,
-        timeline: bool,
         profile: bool,
         crash_schedule: dict[int, int],
         span_recorder=None,
@@ -459,8 +457,6 @@ class _Cluster:
         self.options = options
         self.metrics = metrics
         self.cost_model = cost_model
-        self.spans = spans
-        self.timeline = timeline
         self.profile = profile
         self.crash_schedule = crash_schedule
         self.span_recorder = span_recorder
@@ -536,7 +532,7 @@ class _Cluster:
                         "k": self.k,
                         "seed": self.seed,
                         "machine_id": int(ids[rank]),
-                        "spans": self.spans,
+                        "spans": self.span_recorder is not None,
                         "round_timeout": self.options.round_timeout,
                         "crash_round": self.crash_schedule.get(rank),
                         "directory": directory,
@@ -634,11 +630,11 @@ class _Cluster:
         m.compute_seconds += compute
         m.comm_seconds += comm
         m.dropped_messages += sent_msgs - delivered
-        if self.timeline:
+        if self.profile:
             top_link = top_ingress = None
-            if self.profile and link_bits:
+            if link_bits:
                 top_link = max(link_bits, key=lambda lk: (link_bits[lk], -lk[0], -lk[1]))
-            if self.profile and dst_msgs:
+            if dst_msgs:
                 top_ingress = min(dst_msgs, key=lambda r: (-dst_msgs[r], r))
             m.timeline.append(
                 RoundRecord(
@@ -796,9 +792,10 @@ class NetSimulator:
     ``crashed_ranks``, ``tracer``, ``span_recorder`` — so
     ``backend="net"`` is a drop-in switch.  Not supported here (all
     raise ``ValueError`` up front rather than silently diverging):
-    Byzantine plans, the unreliable-channel layer, message tracing and
-    round observers — each needs payload visibility or in-process
-    hooks the coordinator deliberately does not have.  Fault plans are
+    Byzantine plans, the unreliable-channel layer and
+    ``observe="trace"`` — each needs payload visibility or in-process
+    hooks the coordinator deliberately does not have; the other observe
+    levels record what they record on the simulator.  Fault plans are
     accepted when crash-only.  ``bandwidth_bits`` is accepted but not
     enforced: TCP is not throttled to ``B`` bits/round (use the
     simulator for the paper's round metric).
@@ -808,6 +805,10 @@ class NetSimulator:
     :meth:`close` (sessions do) to tear it down.  Any error closes the
     cluster regardless — a half-dead mesh is not reusable.
     """
+
+    #: the ``observe`` levels this executor can record: payloads bypass
+    #: the coordinator, so there is no event log
+    OBSERVE_LEVELS = ("off", "spans", "profile")
 
     def __init__(
         self,
@@ -819,14 +820,10 @@ class NetSimulator:
         cost_model: CostModel | None = None,
         measure_compute: bool = False,
         max_rounds: int = 1_000_000,
-        timeline: bool = False,
-        trace: bool = False,
         faults: FaultPlan | None = None,
         byzantine: Any = None,
         reliable: Any = None,
-        spans: bool = False,
-        observers: Any = None,
-        profile: bool = False,
+        observe: str = "off",
         persistent: bool = False,
         options: NetOptions | dict | None = None,
     ) -> None:
@@ -844,12 +841,7 @@ class NetSimulator:
                 "net backend does not support the unreliable-channel layer "
                 "(TCP is already reliable; fault injection needs the simulator)"
             )
-        if trace:
-            raise ValueError(
-                "net backend cannot trace payloads (they bypass the coordinator)"
-            )
-        if observers:
-            raise ValueError("net backend does not support round observers")
+        level = observe_level(observe, self.OBSERVE_LEVELS, "net")
         crash_schedule: dict[int, int] = {}
         if faults is not None:
             if (
@@ -878,9 +870,8 @@ class NetSimulator:
         self.cost_model = cost_model or ZERO_COST_MODEL
         self.measure_compute = measure_compute  # compute is always measured
         self.max_rounds = max_rounds
-        self.profile = profile
-        self.timeline = timeline or profile
-        self.spans = spans
+        #: the timeline plus per-link detail (``observe="profile"``)
+        self.profile = level >= 2
         self.persistent = persistent
         self.options = NetOptions.coerce(options)
         self._crash_schedule = crash_schedule
@@ -889,7 +880,7 @@ class NetSimulator:
         self.contexts: tuple = ()
         self.tracer = NullTracer()
         self.span_recorder = None
-        if spans:
+        if level >= 1:
             from ..obs.spans import SpanRecorder
 
             self.span_recorder = SpanRecorder(self.metrics)
@@ -924,8 +915,6 @@ class NetSimulator:
             self.options,
             self.metrics,
             self.cost_model,
-            spans=self.spans,
-            timeline=self.timeline,
             profile=self.profile,
             crash_schedule=self._crash_schedule,
             span_recorder=self.span_recorder,

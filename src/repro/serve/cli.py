@@ -32,7 +32,12 @@ def _corpus(args: argparse.Namespace):
     return rng.uniform(0.0, 1.0, (args.corpus, args.dim))
 
 
-def _build_service(args: argparse.Namespace, *, spans: bool, trace: bool):
+def _observe(args: argparse.Namespace) -> str:
+    """Spans for every served run; the event log once it is exported."""
+    return "trace" if args.chrome or args.jsonl else "spans"
+
+
+def _build_service(args: argparse.Namespace, *, observe: str):
     from .service import KNNService
 
     return KNNService(
@@ -43,9 +48,7 @@ def _build_service(args: argparse.Namespace, *, spans: bool, trace: bool):
         window=args.window,
         max_batch=args.max_batch,
         policy=args.policy,
-        spans=spans,
-        trace=trace,
-        timeline=trace,
+        observe=observe,
     )
 
 
@@ -101,7 +104,7 @@ def _make_workload(args: argparse.Namespace):
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    service = _build_service(args, spans=True, trace=bool(args.chrome or args.jsonl))
+    service = _build_service(args, observe=_observe(args))
     workload = _make_workload(args)
     bad = _serve_workload(service, workload, verify=not args.no_verify)
     service.close()
@@ -132,7 +135,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("workload is empty", file=sys.stderr)
         return 1
     args.dim = workload.dim
-    service = _build_service(args, spans=True, trace=bool(args.chrome or args.jsonl))
+    service = _build_service(args, observe=_observe(args))
     bad = _serve_workload(service, workload, verify=not args.no_verify)
     service.close()
     print(f"replayed {args.path}: {len(workload)} {workload.kind} events")
@@ -146,7 +149,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    service = _build_service(args, spans=False, trace=False)
+    service = _build_service(args, observe="off")
     workload = _make_workload(args)
     _serve_workload(service, workload, verify=False)
     service.close()

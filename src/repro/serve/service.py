@@ -121,10 +121,7 @@ class KNNService:
         warm_capacity: int = 256,
         max_delta_factor: float = 1.0,
         max_blowup: float = 8.0,
-        spans: bool = False,
-        trace: bool = False,
-        timeline: bool = False,
-        profile: bool = False,
+        observe: str = "off",
         balance_threshold: float = 2.0,
         auto_rebalance: bool = True,
         byzantine=None,
@@ -158,10 +155,7 @@ class KNNService:
             election=election,
             partitioner=partitioner,
             safe_mode=safe_mode,
-            spans=spans,
-            trace=trace,
-            timeline=timeline,
-            profile=profile,
+            observe=observe,
             balance_threshold=balance_threshold,
             auto_rebalance=auto_rebalance,
             byzantine=byzantine,
@@ -358,7 +352,7 @@ class KNNService:
     def stats_report(self) -> dict:
         """JSON-ready aggregate report (syncs queue/batch counters).
 
-        On a ``profile=True`` service the report additionally carries
+        On a service observed at ``"profile"`` or above the report carries
         ``leader_ingest`` (hot machine, its share of all message
         arrivals, the full per-machine ingress map) and
         ``critical_path`` (the top modelled-time segments from

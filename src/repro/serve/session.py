@@ -260,10 +260,9 @@ class ClusterSession:
     any number of :meth:`run_batch` calls until :meth:`close`.
 
     Parameters mirror :func:`repro.core.driver.distributed_knn`'s;
-    ``spans``/``trace``/``timeline``/``profile`` plumb through to the
-    simulator so a whole session can be exported as one Chrome trace —
-    and, with ``profile=True``, analysed by the cost-model profiler
-    (:meth:`cost_profile`).
+    ``observe`` plumbs through to the executor so a whole session can
+    be exported as one Chrome trace — and, from ``observe="profile"``
+    up, analysed by the cost-model profiler (:meth:`cost_profile`).
     """
 
     def __init__(
@@ -281,10 +280,7 @@ class ClusterSession:
         safe_mode: bool = True,
         sample_factor: int = 12,
         cutoff_factor: int = 21,
-        spans: bool = False,
-        trace: bool = False,
-        timeline: bool = False,
-        profile: bool = False,
+        observe: str = "off",
         balance_threshold: float = 2.0,
         auto_rebalance: bool = True,
         byzantine: ByzantinePlan | None = None,
@@ -355,14 +351,11 @@ class ClusterSession:
             inputs=shards,
             seed=None if seed is None else seed + 1,
             bandwidth_bits=bandwidth_bits,
-            spans=spans,
-            trace=trace,
-            timeline=timeline,
-            profile=profile,
+            observe=observe,
             byzantine=self._byz_plan,
         )
         #: whether per-link counters + round detail are being recorded
-        self.profile = profile
+        self.profile = self._sim.profile
         init = self._sim.run()
         self.leader = int(init.outputs[0])
         #: rounds spent before the first query (election episode)
@@ -407,17 +400,17 @@ class ClusterSession:
 
     @property
     def tracer(self):
-        """The session tracer (a ``NullTracer`` unless ``trace=True``)."""
+        """The session tracer (a ``NullTracer`` below ``observe="trace"``)."""
         return self._sim.tracer
 
     @property
     def spans(self) -> list:
-        """Recorded spans (empty unless ``spans=True``)."""
+        """Recorded spans (empty under ``observe="off"``)."""
         rec = self._sim.span_recorder
         return [] if rec is None else rec.spans
 
     def cost_profile(self, cost_model=None) -> "CostProfile":
-        """Cost-model profile of the whole session (needs ``profile=True``).
+        """Cost-model profile of the whole session (needs ``observe="profile"``).
 
         Sessions charge communication with the simulator's default
         zero-cost model, so the profile's *modelled* times re-derive

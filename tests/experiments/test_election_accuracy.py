@@ -73,7 +73,7 @@ class TestRunnerSubcommands:
 class TestElectionSpans:
     def test_span_rounds_summarised(self):
         cfg = ElectionConfig(
-            methods=("min_id",), k_values=(4,), repetitions=3, spans=True
+            methods=("min_id",), k_values=(4,), repetitions=3, observe="spans"
         )
         cell = run_election(cfg).cell("min_id", 4)
         assert cell.span_rounds is not None

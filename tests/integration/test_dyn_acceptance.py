@@ -44,9 +44,7 @@ def churned():
         max_batch=8,
         partitioner="skewed",
         balance_threshold=BALANCE_BOUND,
-        spans=True,
-        trace=True,
-        timeline=True,
+        observe="trace",
     )
     stream = make_churn(OPS, 3, seed=11, p_insert=0.2, p_delete=0.22)
     report = run_churn(

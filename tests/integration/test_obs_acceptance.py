@@ -36,7 +36,7 @@ def knn_run():
     points = rng.uniform(0.0, 1.0, (K * 256, 4))
     return distributed_knn(
         points, query=points[0], l=L, k=K, seed=SEED,
-        spans=True, trace=True, timeline=True,
+        observe="trace",
     )
 
 
@@ -87,7 +87,7 @@ class TestAcceptance:
         rng = np.random.default_rng(SEED)
         values = rng.uniform(0, 100, 2048)
         result = distributed_select(
-            values, l=100, k=K, seed=SEED, spans=True
+            values, l=100, k=K, seed=SEED, observe="spans"
         )
         att = phase_attribution(result.raw.spans, result.metrics.messages)
         assert att.coverage >= 0.95, att.format()

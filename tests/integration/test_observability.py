@@ -29,7 +29,7 @@ def traced_selection():
     chunks = np.array_split(rng.permutation(n), k)
     inputs = [keyed_array(values[c], ids[c]) for c in chunks]
     sim = Simulator(k=k, program=SelectionProgram(25), inputs=inputs, seed=4,
-                    bandwidth_bits=512, trace=True, timeline=True)
+                    bandwidth_bits=512, observe="trace")
     return sim.run()
 
 
@@ -87,7 +87,7 @@ class TestTimelineInvariants:
         ds = make_dataset(rng.uniform(0, 1, (2000, 2)), seed=5)
         shards = shard_dataset(ds, 8, rng)
         sim = Simulator(8, KNNProgram(np.array([0.5, 0.5]), 256, safe_mode=False),
-                        shards, seed=6, bandwidth_bits=512, timeline=True)
+                        shards, seed=6, bandwidth_bits=512, observe="profile")
         res = sim.run()
         timeline = res.metrics.timeline
         burst = max(r.messages_sent for r in timeline)

@@ -53,7 +53,7 @@ def served():
     # The issue's target regime: batching window >= 8 (time units and
     # batch size), where amortization has room to work.
     service = KNNService(
-        corpus, L, K, seed=7, window=8.0, max_batch=16, spans=True, trace=True
+        corpus, L, K, seed=7, window=8.0, max_batch=16, observe="trace"
     )
     workload = _mixed_workload()
     answers = service.replay(workload)

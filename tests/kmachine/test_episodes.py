@@ -83,7 +83,7 @@ def test_spans_share_the_session_clock() -> None:
 
         return FunctionProgram(body, name=name)
 
-    sim = Simulator(k=2, program=phase("one"), seed=5, spans=True)
+    sim = Simulator(k=2, program=phase("one"), seed=5, observe="spans")
     sim.run()
     sim.run_episode(phase("two"))
     spans = sim.span_recorder.spans

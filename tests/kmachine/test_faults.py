@@ -410,7 +410,7 @@ class TestSimulatorLinkFaults:
             k=3,
             program=FunctionProgram(chatter),
             faults=FaultPlan(seed=5, drop=0.4, crashes=(Crash(2, 3),)),
-            trace=True,
+            observe="trace",
         ).run()
         kinds = {e.kind for e in result.tracer.events}
         assert "fault-drop" in kinds

@@ -87,7 +87,7 @@ class TestMerge:
 class TestProfiledSimulation:
     def test_link_counters_match_totals(self):
         result = Simulator(
-            k=4, program=FunctionProgram(star_program), profile=True
+            k=4, program=FunctionProgram(star_program), observe="profile"
         ).run()
         m = result.metrics
         assert m.messages == 6  # 3 tasks out + 3 reports back
@@ -98,7 +98,7 @@ class TestProfiledSimulation:
         """Leader receives exactly k-1 reports: share = (k-1)/messages."""
         k = 4
         result = Simulator(
-            k=k, program=FunctionProgram(star_program), profile=True
+            k=k, program=FunctionProgram(star_program), observe="profile"
         ).run()
         m = result.metrics
         assert m.hot_ingress() == (0, k - 1)
@@ -107,10 +107,10 @@ class TestProfiledSimulation:
 
     def test_profile_implies_timeline_with_top_fields(self):
         result = Simulator(
-            k=4, program=FunctionProgram(star_program), profile=True
+            k=4, program=FunctionProgram(star_program), observe="profile"
         ).run()
         timeline = result.metrics.timeline
-        assert timeline, "profile=True must record a timeline"
+        assert timeline, 'observe="profile" must record a timeline'
         traffic = [rec for rec in timeline if rec.messages_sent > 0]
         assert traffic
         for rec in traffic:
@@ -124,18 +124,17 @@ class TestProfiledSimulation:
 
     def test_unprofiled_run_records_no_link_detail(self):
         result = Simulator(
-            k=4, program=FunctionProgram(star_program), timeline=True
+            k=4, program=FunctionProgram(star_program), observe="spans"
         ).run()
         m = result.metrics
         assert m.per_link_messages == {} and m.per_link_bits == {}
-        for rec in m.timeline:
-            assert rec.top_link is None and rec.top_ingress is None
+        assert m.timeline == []
 
 
 class TestSerialization:
     def test_round_trip_preserves_link_maps_and_top_fields(self):
         result = Simulator(
-            k=4, program=FunctionProgram(star_program), profile=True
+            k=4, program=FunctionProgram(star_program), observe="profile"
         ).run()
         m = result.metrics
         restored = Metrics.from_dict(m.to_dict())

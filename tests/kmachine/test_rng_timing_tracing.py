@@ -128,42 +128,22 @@ class TestTracer:
 
 
 class TestTracerRingBuffer:
+    """Event retention: the tracer keeps every event, oldest first."""
+
     def test_default_is_unbounded(self):
         t = Tracer()
         for i in range(1000):
             t.record(i, "send")
-        assert t.max_events is None
         assert len(t.events) == 1000
-        assert t.dropped_events == 0
-
-    def test_bounded_keeps_most_recent(self):
-        t = Tracer(max_events=3)
-        for i in range(5):
-            t.record(i, "send", machine=i)
-        assert len(t.events) == 3
-        assert t.dropped_events == 2
-        assert [e.round for e in t.events] == [2, 3, 4]
-
-    def test_no_drops_below_capacity(self):
-        t = Tracer(max_events=10)
-        for i in range(10):
-            t.record(i, "send")
-        assert t.dropped_events == 0
-        assert len(t.events) == 10
-
-    def test_max_events_validation(self):
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
-        with pytest.raises(ValueError):
-            Tracer(max_events=-5)
+        assert [e.round for e in t.events] == list(range(1000))
 
     def test_queries_work_on_ring(self):
-        t = Tracer(max_events=2)
+        t = Tracer()
         t.record(0, "send")
         t.record(1, "deliver")
         t.record(2, "halt")
-        assert [e.kind for e in t.events] == ["deliver", "halt"]
-        assert t.of_kind("send") == []
+        assert [e.kind for e in t.events] == ["send", "deliver", "halt"]
+        assert len(t.of_kind("send")) == 1
         assert t.rounds_seen() == 3
         assert "halt" in t.format()
 

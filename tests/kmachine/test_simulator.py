@@ -201,7 +201,7 @@ class TestMetricsCollection:
         assert result.metrics.per_tag_bits["ping"] == 56
 
     def test_timeline_records_rounds(self):
-        result = run_program(FunctionProgram(echo_program), k=2, timeline=True)
+        result = run_program(FunctionProgram(echo_program), k=2, observe="profile")
         assert len(result.metrics.timeline) >= 2
         assert result.metrics.timeline[0].messages_sent == 1
 
@@ -238,7 +238,7 @@ class TestMetricsCollection:
         assert not result.tracer.enabled
 
     def test_tracer_records_events(self):
-        result = run_program(FunctionProgram(echo_program), k=2, trace=True)
+        result = run_program(FunctionProgram(echo_program), k=2, observe="trace")
         kinds = {e.kind for e in result.tracer.events}
         assert {"send", "deliver", "halt"} <= kinds
 

@@ -49,7 +49,7 @@ class TestTreeBroadcast:
             yield from tree_broadcast(ctx, 0, "tb", 1)
             return None
 
-        result = run_program(FunctionProgram(prog), k=32, timeline=True)
+        result = run_program(FunctionProgram(prog), k=32, observe="profile")
         sim = Simulator(k=32, program=FunctionProgram(prog))
         # Re-run with a network probe: max per-destination messages.
         res = sim.run()

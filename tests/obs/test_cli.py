@@ -8,7 +8,7 @@ import pytest
 
 from repro.kmachine.metrics import Metrics
 from repro.obs.cli import main
-from repro.obs.export import write_jsonl
+from repro.obs.export import read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -104,35 +104,43 @@ class TestArgs:
             main(["frobnicate"])
 
 
+def _cumulative(doc):
+    return [
+        (e["ts"], e["args"]["messages"], e["args"]["bits"])
+        for e in doc["traceEvents"]
+        if e.get("ph") == "C" and e.get("name") == "cumulative"
+    ]
+
+
 class TestHistoryExport:
     def test_demo_jsonl_carries_history_and_convert_emits_counters(
         self, demo_log, tmp_path
     ):
-        jsonl, _ = demo_log
-        from repro.obs.export import read_jsonl_history
-
-        samples = read_jsonl_history(jsonl)
-        assert samples, "demo must export MetricsHistory samples"
-        rounds = [r for r, _, _ in samples]
-        assert rounds == sorted(rounds)
-        messages = [m for _, m, _ in samples]
-        assert messages == sorted(messages)  # cumulative, monotone
+        """The demo log's timeline is its history: ``convert`` derives the
+        cumulative counter track from it, identical to the direct export."""
+        jsonl, chrome = demo_log
+        _, _, _, metrics = read_jsonl(jsonl)
+        assert metrics is not None and metrics.timeline
 
         out_path = tmp_path / "with_history.json"
         assert main(["convert", str(jsonl), str(out_path)]) == 0
-        doc = json.loads(out_path.read_text())
-        counters = [
-            e for e in doc["traceEvents"]
-            if e.get("ph") == "C" and e.get("name") == "cumulative"
-        ]
-        assert len(counters) == len(samples)
-        assert counters[-1]["args"]["messages"] == messages[-1]
+        track = _cumulative(json.loads(out_path.read_text()))
+        assert len(track) == len(metrics.timeline)
+        messages = [m for _, m, _ in track]
+        assert messages == sorted(messages)  # cumulative, monotone
+        assert track[-1][1:] == (metrics.messages, metrics.bits)
+        assert track == _cumulative(json.loads(chrome.read_text()))
 
     def test_history_absent_reads_as_empty(self, tmp_path):
-        from repro.obs.export import read_jsonl_history
-
+        """A log without a timeline converts to no cumulative track, and an
+        older log's ``history`` line is skipped on load."""
         path = write_jsonl(tmp_path / "bare.jsonl", metrics=Metrics(rounds=1))
-        assert read_jsonl_history(path) == []
+        with path.open("a") as fh:
+            fh.write(json.dumps({"type": "history", "samples": [[0, 1, 8]]}) + "\n")
+        assert read_jsonl(path)[3] == Metrics(rounds=1)
+        out_path = tmp_path / "bare.json"
+        assert main(["convert", str(path), str(out_path)]) == 0
+        assert _cumulative(json.loads(out_path.read_text())) == []
 
 
 class TestProfile:

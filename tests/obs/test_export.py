@@ -105,9 +105,26 @@ class TestChromeTrace:
 
     def test_timeline_becomes_counters(self):
         doc = chrome_trace(timeline=[RoundRecord(5, 3, 512, 3, 256, 0.0, 0.0, 2)])
-        (counter,) = [e for e in doc["traceEvents"] if e["ph"] == "C"]
+        (counter,) = [
+            e for e in doc["traceEvents"] if e["ph"] == "C" and e["name"] == "traffic"
+        ]
         assert counter["ts"] == 5 * ROUND_TICK_US
         assert counter["args"]["messages_sent"] == 3
+
+    def test_cumulative_track_is_the_timelines_running_sum(self):
+        records = [
+            RoundRecord(r, sent, 64 * sent, sent, 64, 0.0, 0.0, 2)
+            for r, sent in enumerate([3, 0, 5, 1])
+        ]
+        doc = chrome_trace(timeline=records)
+        track = [
+            (e["ts"], e["args"]["messages"], e["args"]["bits"])
+            for e in doc["traceEvents"]
+            if e["ph"] == "C" and e["name"] == "cumulative"
+        ]
+        assert track == [
+            (r * ROUND_TICK_US, m, 64 * m) for r, m in enumerate([3, 3, 8, 9])
+        ]
 
     def test_machines_named_as_threads(self):
         doc = chrome_trace(sample_tracer(), [sample_span(machine=2)])

@@ -287,7 +287,7 @@ class TestStarGatherAcceptance:
         result = Simulator(
             k=k,
             program=FunctionProgram(star_program),
-            profile=True,
+            observe="profile",
             cost_model=CM,
         ).run()
         profile = CostProfile(result.metrics, cost_model=CM, k=k)
@@ -311,9 +311,7 @@ class TestEndToEndKNNRun:
             l=16,
             k=4,
             seed=3,
-            spans=True,
-            timeline=True,
-            profile=True,
+            observe="profile",
             cost_model=DEFAULT_COST_MODEL,
         )
         profile = CostProfile(

@@ -31,7 +31,7 @@ def ping_program(ctx):
 @pytest.fixture(scope="module")
 def profile() -> CostProfile:
     result = Simulator(
-        k=2, program=FunctionProgram(ping_program), profile=True, cost_model=CM
+        k=2, program=FunctionProgram(ping_program), observe="profile", cost_model=CM
     ).run()
     return CostProfile(result.metrics, cost_model=CM, k=2)
 

@@ -71,7 +71,7 @@ def test_warm_served_query_conforms_to_tighter_budget() -> None:
 def test_scheduler_spans_get_their_own_trace_thread() -> None:
     rng = np.random.default_rng(2)
     corpus = rng.uniform(0, 1, (1500, 3))
-    service = KNNService(corpus, L, K, seed=7, spans=True)
+    service = KNNService(corpus, L, K, seed=7, observe="spans")
     service.submit(rng.uniform(0, 1, 3), at=0.0)
     service.submit(rng.uniform(0, 1, 3), at=0.1)  # exact repeat not needed
     service.drain()

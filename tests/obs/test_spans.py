@@ -196,7 +196,7 @@ class TestSimulatorIntegration:
         return None
 
     def test_spans_recorded_per_machine(self):
-        res = Simulator(4, FunctionProgram(self._chat), seed=1, spans=True).run()
+        res = Simulator(4, FunctionProgram(self._chat), seed=1, observe="spans").run()
         assert {s.machine for s in res.spans} == {0, 1, 2, 3}
         assert all(s.name == "chat" and s.closed for s in res.spans)
         leader = next(s for s in res.spans if s.machine == 0)
@@ -208,7 +208,7 @@ class TestSimulatorIntegration:
         assert isinstance(res.spans, list)
 
     def test_attribution_full_coverage(self):
-        res = Simulator(4, FunctionProgram(self._chat), seed=1, spans=True).run()
+        res = Simulator(4, FunctionProgram(self._chat), seed=1, observe="spans").run()
         att = phase_attribution(res.spans, res.metrics.messages)
         assert att.coverage == 1.0
         assert att.by_phase == {"chat": res.metrics.messages}

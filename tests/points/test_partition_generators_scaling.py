@@ -63,6 +63,25 @@ class TestPartitioners:
         assert sizes[0] > sizes[-1]
         assert min(sizes) >= 1
 
+    def test_skewed_fills_every_machine_when_n_is_near_k(self):
+        """k <= n <= 4k: every machine gets a point and nothing is lost,
+        and wherever the counts need no surplus spread beyond machine 0
+        they equal the plain rule (1/rank^1.5 loads, rounding error on
+        machine 0), so seeded skewed runs keep their placement."""
+        for k in range(1, 33):
+            weights = 1.0 / np.arange(1, k + 1) ** 1.5
+            weights /= weights.sum()
+            for n in range(k, 4 * k + 1):
+                parts = partition_skewed(n, k, np.random.default_rng(n))
+                sizes = np.array([len(p) for p in parts])
+                assert _covers_everything(parts, n), (n, k)
+                assert sizes.min() >= 1, (n, k, sizes)
+                plain = np.maximum(1, np.floor(weights * n).astype(int))
+                plain[0] += n - plain.sum()
+                if plain[0] >= 1:
+                    np.testing.assert_array_equal(sizes, plain)
+        assert [len(p) for p in partition_skewed(12, 12, np.random.default_rng(0))] == [1] * 12
+
     def test_registry(self):
         assert get_partitioner("random") is partition_random
         with pytest.raises(ValueError):

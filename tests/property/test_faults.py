@@ -63,13 +63,13 @@ def fault_plans(draw) -> FaultPlan:
     )
 
 
-def run_once(plan: FaultPlan | None, seed: int, trace: bool = False):
+def run_once(plan: FaultPlan | None, seed: int, observe: str = "off"):
     return Simulator(
         k=K,
         program=FunctionProgram(chatter),
         seed=seed,
         faults=plan,
-        trace=trace,
+        observe=observe,
         max_rounds=200,
     ).run()
 
@@ -77,8 +77,8 @@ def run_once(plan: FaultPlan | None, seed: int, trace: bool = False):
 class TestDeterminism:
     @given(plan=fault_plans(), seed=st.integers(0, 2**16))
     def test_same_seed_and_plan_reproduce_everything(self, plan, seed):
-        a = run_once(plan, seed, trace=True)
-        b = run_once(plan, seed, trace=True)
+        a = run_once(plan, seed, observe="trace")
+        b = run_once(plan, seed, observe="trace")
         assert a.outputs == b.outputs
         assert a.metrics == b.metrics  # dataclass equality: every counter
         assert a.tracer.events == b.tracer.events
@@ -111,8 +111,8 @@ class TestDeterminism:
 class TestTrivialPlan:
     @given(seed=st.integers(0, 2**16), plan_seed=st.integers(0, 2**16))
     def test_zero_probability_plan_equals_no_plan(self, seed, plan_seed):
-        faulty = run_once(FaultPlan(seed=plan_seed), seed, trace=True)
-        clean = run_once(None, seed, trace=True)
+        faulty = run_once(FaultPlan(seed=plan_seed), seed, observe="trace")
+        clean = run_once(None, seed, observe="trace")
         assert faulty.outputs == clean.outputs
         assert faulty.metrics == clean.metrics
         assert faulty.tracer.events == clean.tracer.events

@@ -56,12 +56,7 @@ def _live_shards(k, n, dim, grid, partitioner, emptied, seed):
         points = rng.uniform(0.0, 1.0, (n, dim))
     query = rng.uniform(0.0, 4.0 if grid else 1.0, dim)
     dataset = make_dataset(points, rng=rng)
-    try:
-        shards = shard_dataset(
-            dataset, k, rng, partitioner, metric=METRIC, query=query
-        )
-    except ValueError:
-        assume(False)  # a skew too extreme for (n, k): the partitioner refuses
+    shards = shard_dataset(dataset, k, rng, partitioner, metric=METRIC, query=query)
     empty = Shard(points=np.empty((0, dim)), ids=np.empty(0, np.int64))
     shards = [empty if rank in emptied else shard for rank, shard in enumerate(shards)]
     live = Dataset(
@@ -103,7 +98,7 @@ def test_exact_regime_matches_brute_force(instance):
         shards,
         seed=seed,
         bandwidth_bits=DEFAULT_BANDWIDTH_BITS,
-        trace=True,
+        observe="trace",
     ).run()
     outputs = result.outputs
     got = [int(i) for out in outputs for i in out.ids]
@@ -164,7 +159,7 @@ def test_certificate_ships_no_more_than_the_single_rank_rule(instance):
     assume(len(live) and len(np.unique(dists)) == len(dists))
     result = Simulator(
         k, KNNProgram(query, l), shards, seed=seed,
-        bandwidth_bits=DEFAULT_BANDWIDTH_BITS, trace=True,
+        bandwidth_bits=DEFAULT_BANDWIDTH_BITS, observe="trace",
     ).run()
     leader = next(rank for rank, out in enumerate(result.outputs) if out.is_leader)
     shard_keys = [_sorted_keys(shard, query)[:l] for shard in shards]

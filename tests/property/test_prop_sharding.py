@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.points.dataset import make_dataset
@@ -56,10 +56,7 @@ def test_shards_are_isolated_slices_of_one_gather(
     labels = np.array([f"c{v}" for v in data_rng.integers(0, 3, n)]) if labelled else None
     dataset = make_dataset(data_rng.normal(size=(n, dim)), labels=labels, rng=data_rng)
     kwargs = {"labels": data_rng.integers(0, 4, n)} if name == "locality" else {}
-    try:
-        index_sets = _replay_index_sets(dataset, k, seed, name, kwargs)
-    except ValueError:
-        assume(False)  # e.g. a skew too extreme for (n, k); shard_dataset raises too
+    index_sets = _replay_index_sets(dataset, k, seed, name, kwargs)
     before = [a.copy() for a in _columns(dataset)]
 
     shards = shard_dataset(dataset, k, np.random.default_rng(seed), name, **kwargs)

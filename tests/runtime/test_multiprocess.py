@@ -136,7 +136,7 @@ class TestWorkerSpans:
 
     def test_spans_gathered_from_all_workers(self, rng):
         res = MultiprocessSimulator(
-            4, SelectionProgram(10), self._inputs(rng), seed=11, spans=True
+            4, SelectionProgram(10), self._inputs(rng), seed=11, observe="spans"
         ).run()
         assert {s.machine for s in res.spans} == {0, 1, 2, 3}
         assert all(s.closed for s in res.spans)
@@ -153,7 +153,7 @@ class TestWorkerSpans:
     def test_worker_spans_count_own_traffic_only(self, rng):
         """Span deltas are per-machine process-side, not global."""
         res = MultiprocessSimulator(
-            4, SelectionProgram(10), self._inputs(rng), seed=11, spans=True
+            4, SelectionProgram(10), self._inputs(rng), seed=11, observe="spans"
         ).run()
         per_machine = {}
         for s in res.spans:

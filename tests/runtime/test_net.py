@@ -117,7 +117,7 @@ class TestBasics:
 
     def test_spans_collected(self):
         sim = NetSimulator(
-            2, FunctionProgram(spanned_probe), seed=0, spans=True
+            2, FunctionProgram(spanned_probe), seed=0, observe="spans"
         )
         res = sim.run()
         assert any(s.name == "net/probe" for s in res.spans)
@@ -139,8 +139,8 @@ class TestValidation:
             NetSimulator(2, FunctionProgram(echo), reliable=True)
 
     def test_rejects_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            NetSimulator(2, FunctionProgram(echo), trace=True)
+        with pytest.raises(ValueError, match="'off', 'spans', 'profile'.*'trace'"):
+            NetSimulator(2, FunctionProgram(echo), observe="trace")
 
     def test_rejects_probabilistic_faults(self):
         plan = FaultPlan(drop=0.5)
@@ -335,7 +335,7 @@ class TestCalibration:
             knn_program_for("sampled", query, 16, metric),
             inputs=shards,
             seed=7,
-            timeline=True,
+            observe="profile",
         )
         sim.run()
         predicted = predicted_wall_seconds(model, sim.metrics)
@@ -365,7 +365,7 @@ class TestCalibration:
         points = rng.standard_normal((256 * 3, 4))
         query = rng.standard_normal(4)
         result = distributed_knn(
-            points, query, 4, 3, seed=9, profile=True, cost_model=model
+            points, query, 4, 3, seed=9, observe="profile", cost_model=model
         )
         profile = CostProfile(result.metrics, cost_model=model)
         assert profile.consistent  # charged with the same measured model

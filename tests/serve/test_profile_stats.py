@@ -35,7 +35,7 @@ def test_default_service_reports_no_profile_fields(corpus):
 
 
 def test_profiled_service_reports_leader_ingest(corpus):
-    report = _serve(corpus, profile=True)
+    report = _serve(corpus, observe="profile")
     ingest = report["leader_ingest"]
     assert ingest["machine"] is not None
     assert ingest["messages"] >= 1
@@ -48,7 +48,7 @@ def test_profiled_service_reports_leader_ingest(corpus):
 
 
 def test_profiled_service_reports_critical_path(corpus):
-    report = _serve(corpus, profile=True)
+    report = _serve(corpus, observe="profile")
     segments = report["critical_path"]
     assert segments, "a served batch must produce traffic rounds"
     for seg in segments:

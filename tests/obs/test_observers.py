@@ -1,17 +1,14 @@
-"""Observer tests: per-round hooks, progress lines, metric sampling."""
+"""Per-round metric history of a real run: the profile timeline and the
+cumulative (round, messages, bits) counter track exported from it."""
 
 from __future__ import annotations
 
-import io
-
-import pytest
-
 from repro.kmachine import FunctionProgram, Simulator
-from repro.obs.observers import MetricsHistory, ProgressReporter, RoundObserver
+from repro.obs.export import ROUND_TICK_US, chrome_trace
 
 
 def chatter(ctx):
-    """A few rounds of traffic so observers have something to watch."""
+    """A few rounds of traffic so the timeline has something to record."""
     for _ in range(3):
         ctx.send((ctx.rank + 1) % ctx.k, "ring", ctx.rank)
         yield
@@ -19,87 +16,45 @@ def chatter(ctx):
     return None
 
 
-def run(observers, k=3):
+def run(k=3):
     return Simulator(
-        k, FunctionProgram(chatter), seed=2, observers=observers
+        k, FunctionProgram(chatter), seed=2, observe="profile"
     ).run()
 
 
-class TestSimulatorHooks:
-    def test_on_round_called_every_round(self):
-        calls: list[int] = []
-
-        class Recorder:
-            def on_round(self, round_idx, metrics):
-                calls.append(round_idx)
-
-        res = run([Recorder()])
-        # Consecutive from 0; trailing drain rounds (all machines
-        # halted, queues emptying) fire the hook too but don't count
-        # toward metrics.rounds.
-        assert calls == list(range(len(calls)))
-        assert len(calls) >= res.metrics.rounds
-
-    def test_on_finish_optional_and_called(self):
-        finished: list[int] = []
-
-        class WithFinish:
-            def on_round(self, round_idx, metrics):
-                pass
-
-            def on_finish(self, metrics):
-                finished.append(metrics.rounds)
-
-        class WithoutFinish:
-            def on_round(self, round_idx, metrics):
-                pass
-
-        res = run([WithFinish(), WithoutFinish()])
-        assert finished == [res.metrics.rounds]
-
-    def test_multiple_observers_all_see_rounds(self):
-        a, b = MetricsHistory(), MetricsHistory()
-        run([a, b])
-        assert a.samples == b.samples
-
-
-class TestProgressReporter:
-    def test_protocol_conformance(self):
-        assert isinstance(ProgressReporter(stream=io.StringIO()), RoundObserver)
-        assert isinstance(MetricsHistory(), RoundObserver)
-
-    def test_every_validation(self):
-        with pytest.raises(ValueError):
-            ProgressReporter(every=0)
-
-    def test_lines_and_done_marker(self):
-        buf = io.StringIO()
-        reporter = ProgressReporter(every=2, stream=buf)
-        res = run([reporter])
-        out = buf.getvalue()
-        assert "[obs] round" in out
-        assert out.endswith("[done]\n")
-        assert reporter.rounds_seen >= res.metrics.rounds
-
-    def test_every_throttles_output(self):
-        buf = io.StringIO()
-        run([ProgressReporter(every=1000, stream=buf)])
-        # Only round 0 and the final summary print.
-        assert buf.getvalue().count("[obs] round") == 2
+def cumulative_samples(res):
+    """The run's ``(round, messages, bits)`` running totals, one per
+    timeline record, as the Chrome export's cumulative track carries them."""
+    doc = chrome_trace(timeline=res.metrics.timeline)
+    return [
+        (e["ts"] // ROUND_TICK_US, e["args"]["messages"], e["args"]["bits"])
+        for e in doc["traceEvents"]
+        if e["ph"] == "C" and e["name"] == "cumulative"
+    ]
 
 
 class TestMetricsHistory:
     def test_samples_cumulative_and_monotone(self):
-        history = MetricsHistory()
-        res = run([history])
-        assert len(history.samples) >= res.metrics.rounds
-        messages = [m for _, m, _ in history.samples]
+        res = run()
+        samples = cumulative_samples(res)
+        assert len(samples) >= res.metrics.rounds
+        rounds = [r for r, _, _ in samples]
+        assert rounds == sorted(rounds)
+        messages = [m for _, m, _ in samples]
         assert messages == sorted(messages)
         assert messages[-1] == res.metrics.messages
+        bits = [b for _, _, b in samples]
+        assert bits == sorted(bits)
+        assert bits[-1] == res.metrics.bits
 
     def test_messages_per_round_reconstruct_total(self):
-        history = MetricsHistory()
-        res = run([history])
-        deltas = history.messages_per_round()
+        res = run()
+        deltas = [r.messages_sent for r in res.metrics.timeline]
         assert sum(deltas) == res.metrics.messages
         assert all(d >= 0 for d in deltas)
+        # The exported running totals are exactly the prefix sums.
+        running, total = [], 0
+        for d in deltas:
+            total += d
+            running.append(total)
+        assert [m for _, m, _ in cumulative_samples(res)] == running

@@ -7,7 +7,10 @@ merge of kℓ keys (simple method only), and the leader sort of
 12k·log ℓ samples (Algorithm 2 only).  These benches time the real
 kernels at the Figure 2 bench scale so the cost-model inputs are
 inspectable, and double as performance regression guards for the
-vectorized implementations.
+vectorized implementations.  A served micro-batch prunes its queries
+in one block call per machine; the block benches time that at the
+serving scale (16 queries against a 2000×3 shard) beside the same
+queries scanned one by one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from repro.sequential.selection import smallest_l
 PPM = 2**16
 L = 1024
 K = 128
+#: serving scale: one micro-batch against one machine's shard
+SERVE_ROWS, SERVE_DIM, SERVE_BATCH, SERVE_L = 2000, 3, 16, 8
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,37 @@ def test_bench_distance_scan_topl(benchmark, shard):
     query = np.array([2.0**31])
     keys, rows = benchmark(lambda: local_candidates(shard, query, L, metric))
     assert len(keys) == len(rows) == L
+
+
+@pytest.fixture(scope="module")
+def serve_batch():
+    rng = np.random.default_rng(98)
+    shard = Shard(
+        points=rng.uniform(0, 1, (SERVE_ROWS, SERVE_DIM)),
+        ids=np.arange(1, SERVE_ROWS + 1),
+    )
+    return shard, rng.uniform(0, 1, (SERVE_BATCH, SERVE_DIM))
+
+
+def test_bench_scan_queries_one_by_one(benchmark, serve_batch):
+    """Stage 2 for a micro-batch, one kernel call per query."""
+    shard, queries = serve_batch
+    metric = get_metric("euclidean")
+    pairs = benchmark(
+        lambda: [local_candidates(shard, q, SERVE_L, metric) for q in queries]
+    )
+    assert len(pairs) == SERVE_BATCH
+
+
+def test_bench_scan_queries_as_block(benchmark, serve_batch):
+    """Stage 2 for a micro-batch, one block call (what serving runs)."""
+    shard, queries = serve_batch
+    metric = get_metric("euclidean")
+    pairs = benchmark(lambda: local_candidates(shard, queries, SERVE_L, metric))
+    for q, (keys, rows) in zip(queries, pairs):
+        one_keys, one_rows = local_candidates(shard, q, SERVE_L, metric)
+        assert keys.tobytes() == one_keys.tobytes()
+        assert np.array_equal(rows, one_rows)
 
 
 def test_bench_simple_leader_merge(benchmark):

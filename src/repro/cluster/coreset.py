@@ -36,7 +36,7 @@ from ..core.messages import log2_ceil, tag
 from ..kmachine.machine import MachineContext, Program
 from ..kmachine.schema import Coreset
 from ..points.metrics import Metric
-from .solvers import assign_points, center_distances, greedy_kcenter
+from .solvers import center_distances, greedy_kcenter
 
 __all__ = [
     "CoresetProgram",
@@ -75,12 +75,11 @@ def compress(
         return points.copy(), weights.copy(), 0.0, 0.0
     reps, _ = greedy_kcenter(points, size, weights=weights, metric=metric)
     centers = points[reps]
-    owner = assign_points(points, centers, metric)
+    dists = center_distances(points, centers, metric)
+    owner = np.argmin(dists, axis=1)
     rep_weights = np.zeros(len(reps), dtype=np.float64)
     np.add.at(rep_weights, owner, weights)
-    moved = center_distances(points, centers, metric)[
-        np.arange(len(points)), owner
-    ]
+    moved = dists[np.arange(len(points)), owner]
     movement = float(np.dot(moved, weights))
     radius = float(moved.max()) if len(moved) else 0.0
     return centers.copy(), rep_weights, movement, radius

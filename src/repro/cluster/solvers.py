@@ -48,8 +48,9 @@ def center_distances(
 ) -> np.ndarray:
     """``(n, c)`` matrix of point-to-center distances.
 
-    Loops over centers only (``c`` is small), so the per-row work is
-    the metric's own vectorized batch form.
+    One block call of the metric kernel with the centers as the query
+    block; column ``j`` equals the single-query scan for center ``j``
+    bit for bit.
     """
     metric = get_metric(metric)
     points = np.asarray(points, dtype=np.float64)
@@ -60,8 +61,7 @@ def center_distances(
         centers = centers.reshape(-1, 1)
     if len(centers) == 0:
         raise ValueError("need at least one center")
-    cols = [metric.distances(points, c) for c in centers]
-    return np.stack(cols, axis=1)
+    return np.ascontiguousarray(metric.distances(points, centers).T)
 
 
 def assign_points(
@@ -158,6 +158,12 @@ def local_search_kmedian(
     with ``cost`` the weighted objective of the final solution.  A
     swap-local optimum is a 5-approximation; on coreset-sized inputs
     (tens of points) the search converges in a handful of sweeps.
+
+    Each slot scores all candidates in one matrix-vector product, then
+    replays the per-candidate scan: in candidate order, a swap takes
+    the lead when its ``np.dot`` gain beats the running best by more
+    than ``1e-12``.  Only candidates the product puts near that bar are
+    re-summed, so the chosen centers are the per-candidate loop's.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -178,10 +184,17 @@ def local_search_kmedian(
 
     current = cost_of(chosen)
     centers = list(int(c) for c in chosen)
+    # A trial cost sums n terms, term i at most |w_i|·max_j d_ij in
+    # size, so two summation orders of one trial (the block product and
+    # np.dot) differ by less than ``slack``: a candidate whose block gain
+    # falls ``slack`` short of the bar cannot clear it under np.dot.
+    eps = np.finfo(np.float64).eps
+    bound = float(np.abs(w) @ dmat.max(axis=1)) if n else 0.0
+    trial_mat = np.empty_like(dmat)
     for _ in range(max_sweeps):
         best_gain = 0.0
         best_swap: tuple[int, int] | None = None
-        in_set = set(centers)
+        slack = 8.0 * (n + 2) * eps * (bound + abs(current))
         for slot, out in enumerate(centers):
             rest = np.asarray(
                 [c for c in centers if c != out], dtype=np.int64
@@ -191,9 +204,17 @@ def local_search_kmedian(
                 if len(rest)
                 else np.full(n, np.inf)
             )
-            for cand in range(n):
-                if cand in in_set:
-                    continue
+            # All candidates for this slot in one expression; then replay
+            # the candidate scan: the first candidate whose np.dot gain
+            # beats the running best by more than 1e-12 takes the lead.
+            gains = current - w @ np.minimum(rest_min[:, None], dmat, out=trial_mat)
+            gains[centers] = -np.inf  # candidates already in the set
+            cand = -1
+            while True:
+                ahead = np.flatnonzero(gains[cand + 1 :] > best_gain + 1e-12 - slack)
+                if not len(ahead):
+                    break
+                cand += 1 + int(ahead[0])
                 trial = float(np.dot(np.minimum(rest_min, dmat[:, cand]), w))
                 gain = current - trial
                 if gain > best_gain + 1e-12:

@@ -168,38 +168,57 @@ class KNNOutput:
 
 
 def local_candidates(
-    shard: Shard, query: np.ndarray, l: int, metric: Metric
-) -> tuple[np.ndarray, np.ndarray]:
+    shard: Shard, queries: np.ndarray, l: int, metric: Metric
+) -> Any:
     """Stage-2 local pruning: the shard's ℓ closest points as sorted keys.
 
-    Vectorized per the HPC guides: one distance-kernel call, one
-    ``np.argpartition``, one ``np.lexsort`` of the ℓ-prefix.  Returns
-    ``(keys, rows)``: ``keys`` is a structured ``(value, id)`` array of
-    at most ℓ entries ascending by (value, id), and ``rows[i]`` is the
-    shard row of ``keys[i]``.  Every protocol selects its answer among
-    these keys, so :func:`knn_output` maps answer ids back to shard
-    rows through ``rows`` without indexing the whole shard.
+    ``queries`` is one query (shape ``(d,)``) or a block ``(m, d)``;
+    the block shares one distance-kernel call, one row-wise
+    ``np.argpartition`` and one row-wise ``np.lexsort`` of the
+    ℓ-prefixes.  Per query the result is ``(keys, rows)``: ``keys`` is
+    a structured ``(value, id)`` array of at most ℓ entries ascending
+    by (value, id), and ``rows[i]`` is the shard row of ``keys[i]``.
+    Every protocol selects its answer among these keys, so
+    :func:`knn_output` maps answer ids back to shard rows through
+    ``rows`` without indexing the whole shard.  Returns that pair for
+    one query and a list of pairs, one per row, for a block.
     """
-    if len(shard) == 0:
-        return np.empty(0, dtype=_KEY_DTYPE), np.empty(0, dtype=np.intp)
-    dists = metric.distances(shard.points, query)
-    keep = np.arange(len(dists))
-    if 0 < l < len(dists):
+    single = np.ndim(queries) < 2
+    n = len(shard)
+    if n == 0:
+        m = 1 if single else len(queries)
+        pairs = [(np.empty(0, dtype=_KEY_DTYPE), np.empty(0, dtype=np.intp))] * m
+        return pairs[0] if single else pairs
+    dists = np.atleast_2d(metric.distances(shard.points, queries))
+    m = len(dists)
+    at = np.arange(m)[:, None]  # row index for per-row gathers
+    if 0 < l < n:
         # Partition by distance, then resolve the tie block straddling
         # the l-th position by smallest ID — the global (value, id)
         # order must never be violated by local pruning.
-        part = np.argpartition(dists, l - 1)
-        v_star = dists[part[l - 1]]
-        less = np.nonzero(dists < v_star)[0]
-        ties = np.nonzero(dists == v_star)[0]
-        need = l - len(less)
-        tie_take = ties[np.argsort(shard.ids[ties], kind="stable")[:need]]
-        keep = np.concatenate([less, tie_take])
-    rows = keep[np.lexsort((shard.ids[keep], dists[keep]))]
-    keys = np.empty(len(rows), dtype=_KEY_DTYPE)
-    keys["value"] = dists[rows]
-    keys["id"] = shard.ids[rows]
-    return keys, rows
+        part = np.argpartition(dists, l - 1, axis=1)
+        v_star = dists[at, part[:, l - 1 : l]]
+        keep = dists <= v_star
+        flat = np.flatnonzero(keep)
+        if len(flat) > m * l:
+            counts = np.bincount(flat // n, minlength=m)
+            for i in np.flatnonzero(counts > l):
+                tied = np.flatnonzero(dists[i] == v_star[i])
+                need = l - (counts[i] - len(tied))
+                drop = tied[np.argsort(shard.ids[tied], kind="stable")[need:]]
+                keep[i, drop] = False
+            flat = np.flatnonzero(keep)
+        cols = (flat % n).reshape(m, l)
+    else:
+        cols = np.broadcast_to(np.arange(n, dtype=np.intp), (m, n))
+    values = dists[at, cols]
+    ids = shard.ids[cols]
+    order = np.lexsort((ids, values), axis=1)
+    rows = cols[at, order]
+    keys = np.empty(rows.shape, dtype=_KEY_DTYPE)
+    keys["value"] = values[at, order]
+    keys["id"] = ids[at, order]
+    return (keys[0], rows[0]) if single else list(zip(keys, rows))
 
 
 def knn_output(
@@ -494,6 +513,7 @@ def knn_subroutine(
     prefix: str = "knn",
     timeout_rounds: int | None = None,
     byz: ByzConfig | None = None,
+    local_pruned: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Generator[None, None, KNNOutput]:
     """Run Algorithm 2 as an embeddable subroutine (see module docs).
 
@@ -536,6 +556,11 @@ def knn_subroutine(
     ``safe_mode`` — the fallback re-run is the liveness half of the
     exactness argument (a forged-too-low threshold must trigger the
     unpruned path rather than a short answer).
+
+    ``local_pruned`` is this machine's stage-2 output ``(keys, rows)``
+    for ``query``, when the caller already computed it with
+    :func:`local_candidates` (a served micro-batch prunes all its
+    queries in one block call); ``None`` computes it here.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -549,8 +574,10 @@ def knn_subroutine(
     query = np.atleast_1d(np.asarray(query, dtype=np.float64))
 
     # Stage 2: local pruning to the l closest points (free, local).
-    with ctx.obs.span("local-prune"):
-        candidates, rows = local_candidates(shard, query, l, metric)
+    if local_pruned is None:
+        with ctx.obs.span("local-prune"):
+            local_pruned = local_candidates(shard, query, l, metric)
+    candidates, rows = local_pruned
     working = candidates
     external_threshold = threshold
     threshold = None  # the threshold actually applied (reported in output)

@@ -195,8 +195,10 @@ class KDTree:
     def _count(self, node: KDNode, q: np.ndarray, radius: float) -> int:
         if node.is_leaf:
             diff = self.points[node.indices] - q
-            dists2 = np.einsum("ij,ij->i", diff, diff)
-            return int((dists2 <= radius * radius).sum())
+            # Compare distances, not squares: squaring the radius rounds
+            # differently from the squared distance at large coordinates.
+            dists = np.sqrt((diff * diff).sum(axis=1))
+            return int((dists <= radius).sum())
         assert node.left is not None and node.right is not None
         delta = q[node.axis] - node.threshold
         total = 0

@@ -42,6 +42,7 @@ from typing import Generator, Sequence
 
 import numpy as np
 
+from ..cluster.driver import local_assign_stats
 from ..core.messages import tag
 from ..kmachine.machine import MachineContext, Program
 from ..kmachine.schema import PointBatch
@@ -182,18 +183,13 @@ def routing_from_shards(
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim == 1:
         centers = centers.reshape(-1, 1)
-    k, c = len(shards), len(centers)
-    counts = np.zeros((k, c), dtype=np.int64)
-    radii = np.zeros((k, c), dtype=np.float64)
-    for r, shard in enumerate(shards):
-        coords = np.asarray(getattr(shard, "points", shard), dtype=np.float64)
-        if len(coords) == 0:
-            continue
-        cols = np.stack([metric.distances(coords, ctr) for ctr in centers], axis=1)
-        owner = np.argmin(cols, axis=1)
-        nearest = cols[np.arange(len(coords)), owner]
-        np.add.at(counts[r], owner, 1)
-        np.maximum.at(radii[r], owner, nearest)
+    stats = [
+        local_assign_stats(getattr(shard, "points", shard), centers, metric)
+        for shard in shards
+    ]
+    shape = (len(shards), len(centers))
+    counts = np.array([s.counts for s in stats], dtype=np.int64).reshape(shape)
+    radii = np.array([s.radii for s in stats], dtype=np.float64).reshape(shape)
     return RoutingTable(centers=centers, counts=counts, radii=radii, metric=metric)
 
 

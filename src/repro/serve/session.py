@@ -39,7 +39,7 @@ from ..core.driver import (
     _byzantine_request,
     build_executor,
 )
-from ..core.knn import KNNOutput, knn_subroutine
+from ..core.knn import KNNOutput, knn_subroutine, local_candidates
 from ..core.leader import elect
 from ..core.messages import tag
 from ..dyn.balance import (
@@ -158,6 +158,10 @@ class SessionInitProgram(Program):
 class ServeBatchProgram(Program):
     """One micro-batch episode: concurrent Algorithm 2 per admitted query.
 
+    Stage 2 (local pruning) runs once per machine for the whole batch:
+    one :func:`~repro.core.knn.local_candidates` block call, recorded
+    as one ``local-prune`` span, whose per-query ``(keys, rows)`` each
+    query's :func:`~repro.core.knn.knn_subroutine` takes as given.
     Per-machine output is a list aligned with ``jobs`` of
     ``(KNNOutput, complete_round)`` pairs, where ``complete_round`` is
     the absolute session round at which *this machine's* generator for
@@ -204,32 +208,39 @@ class ServeBatchProgram(Program):
     def run(
         self, ctx: MachineContext
     ) -> Generator[None, None, list[tuple[KNNOutput, int]] | None]:
-        """Step one ℓ-NN generator per job round-robin until all return."""
+        """Prune for every job at once, then step one ℓ-NN generator per
+        job round-robin until all return."""
         if self.byz is not None and ctx.rank in self.byz.quarantined:
             return None
-        queries = [
-            knn_subroutine(
-                ctx,
-                self.leader,
-                ctx.local,
-                job.query,
-                self.l,
-                self.metric,
-                safe_mode=self.safe_mode,
-                sample_factor=self.sample_factor,
-                cutoff_factor=self.cutoff_factor,
-                threshold=job.threshold,
-                prefix=self._prefix(job.qid),
-                byz=self.byz,
-            )
-            for job in self.jobs
-        ]
-        done: list[tuple[KNNOutput, int] | None] = [None] * len(queries)
-        pending: list[Generator[None, None, KNNOutput] | None] = list(queries)
-        # each query's last yielded token: a Wait, or None for a bare yield
-        waits: list[Wait | None] = [None] * len(queries)
-        remaining = len(pending)
         with ctx.obs.span(tag("serve", "batch", self.batch_index)):
+            # Stage 2 for the whole batch: one block call per machine.
+            with ctx.obs.span("local-prune"):
+                block = np.stack(
+                    [np.atleast_1d(np.asarray(job.query, dtype=np.float64)) for job in self.jobs]
+                )
+                pruned = local_candidates(ctx.local, block, self.l, self.metric)
+            pending: list[Generator[None, None, KNNOutput] | None] = [
+                knn_subroutine(
+                    ctx,
+                    self.leader,
+                    ctx.local,
+                    query,
+                    self.l,
+                    self.metric,
+                    safe_mode=self.safe_mode,
+                    sample_factor=self.sample_factor,
+                    cutoff_factor=self.cutoff_factor,
+                    threshold=job.threshold,
+                    prefix=self._prefix(job.qid),
+                    byz=self.byz,
+                    local_pruned=local_pruned,
+                )
+                for job, query, local_pruned in zip(self.jobs, block, pruned)
+            ]
+            done: list[tuple[KNNOutput, int] | None] = [None] * len(pending)
+            # each query's last yielded token: a Wait, or None for a bare yield
+            waits: list[Wait | None] = [None] * len(pending)
+            remaining = len(pending)
             while remaining:
                 for i, gen in enumerate(pending):
                     if gen is None:

@@ -32,7 +32,8 @@ from typing import Any, Generator
 
 import numpy as np
 
-from ..core.messages import log2_ceil, tag
+from ..core.messages import tag
+from ..kmachine.collectives import tree_reduce
 from ..kmachine.machine import MachineContext, Program
 from ..kmachine.schema import Coreset
 from ..points.metrics import Metric
@@ -133,11 +134,9 @@ def coreset_subroutine(
 ) -> Generator[None, None, Coreset | None]:
     """Binomial merge of per-machine coresets toward ``leader``.
 
-    Every machine compresses its shard, then the blocks climb a
-    binomial tree rooted at the leader's virtual rank 0: in step
-    ``s`` (``mask = 2^s``), virtual rank ``v`` with the ``mask`` bit
-    set sends its accumulated block to ``v − mask`` and goes quiet;
-    otherwise it receives from ``v + mask`` when that partner exists.
+    Every machine compresses its shard, then the blocks climb
+    :func:`~repro.kmachine.collectives.tree_reduce`'s binomial tree
+    rooted at the leader, each receiver merging ``(own, received)``.
     ⌈log₂k⌉ rounds, ``k − 1`` messages, and each receiver merges
     exactly one block per round — the leader included.
 
@@ -146,35 +145,19 @@ def coreset_subroutine(
     :class:`~repro.cluster.driver.ClusteringProgram`.
     """
     prefix = prefix if prefix is not None else tag("cl", "cs")
-    k = ctx.k
     with ctx.obs.span(tag("cluster", "coreset")):
         with ctx.obs.span(tag("cluster", "compress")):
             block = local_coreset(ctx.local, size, metric)
         with ctx.obs.span(tag("cluster", "merge")):
-            v = (ctx.rank - leader) % k
-            mask = 1
-            merged_away = False
-            # binomial-tree merge toward the leader's virtual rank 0
-            for step in range(log2_ceil(max(2, k))):
-                if merged_away:
-                    yield  # stay round-aligned with the active machines
-                elif v & mask:
-                    dst = (v - mask + leader) % k
-                    ctx.send(dst, tag(prefix, "mg", step), block)
-                    merged_away = True
-                    yield  # the block's delivery round
-                elif v + mask < k:
-                    src = (v + mask + leader) % k
-                    msg = yield from ctx.recv_one(
-                        tag(prefix, "mg", step), src=src
-                    )
-                    block = merge_coresets(block, msg.payload, size, metric)
-                else:
-                    yield  # no partner this step
-                mask <<= 1
-    if ctx.rank == leader:
-        return block
-    return None
+            return (
+                yield from tree_reduce(
+                    ctx,
+                    leader,
+                    tag(prefix, "mg"),
+                    block,
+                    lambda a, b: merge_coresets(a, b, size, metric),
+                )
+            )
 
 
 class CoresetProgram(Program):

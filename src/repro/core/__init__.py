@@ -36,14 +36,6 @@ from .driver import (
     distributed_select,
     knn_program_for,
 )
-from .kdtree_knn import (
-    KDTreeKNNQueryProgram,
-    KDTreePartitionProgram,
-    MachineBox,
-    box_lower_bound,
-    build_partition,
-    query_partition,
-)
 from .knn import KNNOutput, KNNProgram, knn_subroutine, local_candidates
 from .leader import elect, elect_min_id, elect_sublinear, fixed_leader
 from .monitor import MovingKNNMonitor, RefreshRecord
@@ -70,12 +62,9 @@ __all__ = [
     "DEFAULT_BANDWIDTH_BITS",
     "DistributedKNNClassifier",
     "DistributedKNNRegressor",
-    "KDTreeKNNQueryProgram",
-    "KDTreePartitionProgram",
     "KNNOutput",
     "KNNProgram",
     "KNNResult",
-    "MachineBox",
     "MovingKNNMonitor",
     "QueryRecord",
     "RefreshRecord",
@@ -88,8 +77,6 @@ __all__ = [
     "SelectionStats",
     "SimpleKNNProgram",
     "binary_search_subroutine",
-    "box_lower_bound",
-    "build_partition",
     "decode_key",
     "distributed_extrema",
     "distributed_knn",
@@ -107,7 +94,6 @@ __all__ = [
     "knn_subroutine",
     "local_candidates",
     "log2_ceil",
-    "query_partition",
     "saukas_song_subroutine",
     "selection_subroutine",
     "simple_knn_subroutine",

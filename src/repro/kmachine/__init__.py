@@ -9,7 +9,7 @@ Public surface
 * :class:`Simulator` / :func:`run_program` — execute a program.
 * :class:`Program` / :class:`FunctionProgram` — protocol base classes.
 * :class:`MachineContext` — per-machine rank/RNG/messaging API.
-* :mod:`repro.kmachine.collectives` — broadcast/gather/reduce helpers.
+* :mod:`repro.kmachine.collectives` — star broadcast/gather, tree reduce.
 * :class:`Network` — bandwidth-constrained clique (rarely used directly).
 * :class:`Metrics` — rounds/messages/bits accounting.
 * :class:`CostModel` — α–β model for simulated wall-clock.
@@ -20,16 +20,7 @@ Public surface
   ``reliable_*`` helpers — ACK/retransmit hardening on faulty links.
 """
 
-from .collectives import (
-    all_gather,
-    barrier,
-    broadcast,
-    gather,
-    reduce,
-    scatter,
-    tree_broadcast,
-    tree_reduce,
-)
+from .collectives import broadcast, gather, tree_reduce
 from .errors import (
     AddressError,
     BandwidthExceededError,
@@ -109,21 +100,16 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "ZERO_COST_MODEL",
-    "all_gather",
-    "barrier",
     "broadcast",
     "gather",
     "payload_bits",
     "payload_checksum",
-    "reduce",
     "reliable_broadcast",
     "reliable_gather",
     "reliable_recv",
     "reliable_send",
     "run_program",
-    "scatter",
     "spawn_named_stream",
     "spawn_streams",
-    "tree_broadcast",
     "tree_reduce",
 ]

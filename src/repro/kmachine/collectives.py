@@ -29,18 +29,13 @@ helpers then work unchanged) or use the explicit in-band variants
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Sequence, TypeVar
+from typing import Any, Callable, Generator, TypeVar
 
 from .machine import MachineContext
 
 __all__ = [
     "broadcast",
     "gather",
-    "all_gather",
-    "reduce",
-    "barrier",
-    "scatter",
-    "tree_broadcast",
     "tree_reduce",
 ]
 
@@ -83,85 +78,6 @@ def gather(
     return None
 
 
-def all_gather(
-    ctx: MachineContext, tag: str, value: Any, root: int = 0
-) -> Generator[None, None, list[Any]]:
-    """Gather to ``root`` then broadcast the list; everyone returns it.
-
-    Two rounds, ``2(k - 1)`` messages.  Payload of the broadcast leg is
-    ``k`` values, so with tight ``B`` it may take ``O(k)`` rounds to
-    drain — use only for small values (counts, IDs).
-    """
-    gathered = yield from gather(ctx, root, tag + "/g", value)
-    result = yield from broadcast(ctx, root, tag + "/b", gathered)
-    return list(result)
-
-
-def reduce(
-    ctx: MachineContext,
-    root: int,
-    tag: str,
-    value: T,
-    op: Callable[[T, T], T],
-) -> Generator[None, None, T | None]:
-    """Gather values to root and fold them with ``op`` (root gets result).
-
-    The fold is applied in rank order, so non-commutative ``op`` is
-    deterministic.  Non-roots return ``None``.
-    """
-    values = yield from gather(ctx, root, tag, value)
-    if values is None:
-        return None
-    accumulator = values[0]
-    for item in values[1:]:
-        accumulator = op(accumulator, item)
-    return accumulator
-
-
-def barrier(ctx: MachineContext, tag: str, root: int = 0) -> Generator[None, None, None]:
-    """Block until every machine has reached this barrier.
-
-    Star implementation: notify root, root releases everyone.  Two
-    rounds, ``2(k - 1)`` messages.
-    """
-    yield from gather(ctx, root, tag + "/arrive", True)
-    yield from broadcast(ctx, root, tag + "/release", True)
-    return None
-
-
-def tree_broadcast(
-    ctx: MachineContext, root: int, tag: str, payload: Any = None
-) -> Generator[None, None, Any]:
-    """Binomial-tree broadcast: ⌈log₂ k⌉ rounds, k − 1 messages.
-
-    On the k-machine clique the star broadcast is already one round,
-    so the tree trades latency for *fan-out*: no machine ever sends
-    more than one copy per round, and no machine receives more than
-    one message per round.  Under the α–β–γ time model (γ = receiver
-    overhead) and in per-node-capacity settings this is the cheaper
-    shape; the rounds/messages metrics let benchmarks quantify the
-    trade-off directly.
-    """
-    k = ctx.k
-    v = (ctx.rank - root) % k  # virtual rank: root becomes 0
-    have = v == 0
-    value = payload if have else None
-    mask = 1
-    while mask < k:
-        if have and v < mask:
-            peer = v + mask
-            if peer < k:
-                ctx.send((peer + root) % k, tag, value)
-        if not have and mask <= v < 2 * mask:
-            msg = yield from ctx.recv_one(tag)
-            value = msg.payload
-            have = True
-        else:
-            yield
-        mask <<= 1
-    return value
-
-
 def tree_reduce(
     ctx: MachineContext,
     root: int,
@@ -174,14 +90,16 @@ def tree_reduce(
     Combines partial results pairwise up the tree, so every machine
     receives at most one message per round (the star gather lands
     k − 1 messages on the root in one round — a γ hotspot in the time
-    model).  ``op`` must be associative; the combine order is the
-    binomial-tree order, so non-commutative ``op`` should be used
-    with care.  Root returns the fold; others ``None``.
+    model).  ``op`` must be associative; each receiver folds as
+    ``op(own, received)`` in binomial-tree order, so a non-commutative
+    ``op`` gives a fixed, seed-independent result.  Root returns the
+    fold; others ``None``.
     """
     k = ctx.k
     v = (ctx.rank - root) % k
     accumulator = value
     mask = 1
+    # lint: bound[log] — one tree level per doubling of mask
     while mask < k:
         if v & mask:
             ctx.send((v - mask + root) % k, tag, accumulator)
@@ -203,23 +121,3 @@ def tree_reduce(
             yield
         mask <<= 1
     return accumulator
-
-
-def scatter(
-    ctx: MachineContext, root: int, tag: str, values: Sequence[Any] | None = None
-) -> Generator[None, None, Any]:
-    """Root sends ``values[i]`` to machine ``i``; everyone returns theirs.
-
-    ``values`` must have length ``k`` at the root and is ignored
-    elsewhere.  One round, ``k - 1`` messages.
-    """
-    if ctx.rank == root:
-        if values is None or len(values) != ctx.k:
-            raise ValueError(f"scatter at root requires k={ctx.k} values")
-        for dst in range(ctx.k):
-            if dst != root:
-                ctx.send(dst, tag, values[dst])
-        yield
-        return values[root]
-    msg = yield from ctx.recv_one(tag, src=root)
-    return msg.payload

@@ -178,8 +178,6 @@ class ServeBatchProgram(Program):
         leader: int,
         *,
         safe_mode: bool = True,
-        sample_factor: int = 12,
-        cutoff_factor: int = 21,
         batch_index: int = 0,
         byz: ByzConfig | None = None,
         attempt: int = 0,
@@ -191,8 +189,6 @@ class ServeBatchProgram(Program):
         self.metric = metric
         self.leader = leader
         self.safe_mode = safe_mode
-        self.sample_factor = sample_factor
-        self.cutoff_factor = cutoff_factor
         self.batch_index = batch_index
         self.byz = byz
         self.attempt = attempt
@@ -228,8 +224,6 @@ class ServeBatchProgram(Program):
                     self.l,
                     self.metric,
                     safe_mode=self.safe_mode,
-                    sample_factor=self.sample_factor,
-                    cutoff_factor=self.cutoff_factor,
                     threshold=job.threshold,
                     prefix=self._prefix(job.qid),
                     byz=self.byz,
@@ -270,10 +264,12 @@ class ClusterSession:
     drivers), and runs the election episode; the session then accepts
     any number of :meth:`run_batch` calls until :meth:`close`.
 
-    Parameters mirror :func:`repro.core.driver.distributed_knn`'s;
-    ``observe`` plumbs through to the executor so a whole session can
-    be exported as one Chrome trace — and, from ``observe="profile"``
-    up, analysed by the cost-model profiler (:meth:`cost_profile`).
+    Parameters mirror :func:`repro.core.driver.distributed_knn`'s,
+    except that serving always samples with Lemma 2.3's constants
+    (:func:`~repro.core.knn.knn_subroutine`'s defaults).  ``observe``
+    plumbs through to the executor so a whole session can be exported
+    as one Chrome trace — and, from ``observe="profile"`` up, analysed
+    by the cost-model profiler (:meth:`cost_profile`).
     """
 
     def __init__(
@@ -289,8 +285,6 @@ class ClusterSession:
         election: str = "fixed",
         partitioner: str = "random",
         safe_mode: bool = True,
-        sample_factor: int = 12,
-        cutoff_factor: int = 21,
         observe: str = "off",
         balance_threshold: float = 2.0,
         auto_rebalance: bool = True,
@@ -314,8 +308,6 @@ class ClusterSession:
         self.k = k
         self.metric = get_metric(metric)
         self.safe_mode = safe_mode
-        self.sample_factor = sample_factor
-        self.cutoff_factor = cutoff_factor
         # -- Byzantine hardening (see DESIGN.md §11) -------------------
         byz_requested, f_target = _byzantine_request(byzantine, byzantine_f)
         if byz_requested and not safe_mode:
@@ -469,8 +461,6 @@ class ClusterSession:
             self.metric,
             self.leader,
             safe_mode=self.safe_mode,
-            sample_factor=self.sample_factor,
-            cutoff_factor=self.cutoff_factor,
             batch_index=self.batches,
         )
         result = self._episode(program)
@@ -697,8 +687,6 @@ class ClusterSession:
                 self.metric,
                 self.leader,
                 safe_mode=self.safe_mode,
-                sample_factor=self.sample_factor,
-                cutoff_factor=self.cutoff_factor,
                 batch_index=self.batches,
                 byz=cfg,
                 attempt=attempt,

@@ -1,19 +1,8 @@
-"""Unit tests for broadcast/gather/reduce/barrier/scatter collectives."""
+"""Unit tests for the broadcast, gather and reduce collectives."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.kmachine import (
-    FunctionProgram,
-    all_gather,
-    barrier,
-    broadcast,
-    gather,
-    reduce,
-    run_program,
-    scatter,
-)
+from repro.kmachine import FunctionProgram, broadcast, gather, run_program, tree_reduce
 
 
 def run(fn, k=4, **kwargs):
@@ -58,20 +47,10 @@ class TestGather:
         assert result.metrics.messages == 3
 
 
-class TestAllGather:
-    def test_everyone_gets_all_values(self):
-        def prog(ctx):
-            values = yield from all_gather(ctx, "ag", ctx.rank + 1)
-            return values
-
-        result = run(prog)
-        assert result.outputs == [[1, 2, 3, 4]] * 4
-
-
 class TestReduce:
     def test_sum_reduction(self):
         def prog(ctx):
-            total = yield from reduce(ctx, 0, "r", ctx.rank + 1, lambda a, b: a + b)
+            total = yield from tree_reduce(ctx, 0, "r", ctx.rank + 1, lambda a, b: a + b)
             return total
 
         result = run(prog)
@@ -79,58 +58,26 @@ class TestReduce:
         assert result.outputs[1] is None
 
     def test_noncommutative_op_is_rank_ordered(self):
+        # Each receiver folds op(own, received) and every subtree holds
+        # the next run of ranks, so the fold reads in rank order.
         def prog(ctx):
-            out = yield from reduce(ctx, 0, "r", str(ctx.rank), lambda a, b: a + b)
+            out = yield from tree_reduce(ctx, 0, "r", str(ctx.rank), lambda a, b: a + b)
             return out
 
         result = run(prog)
         assert result.outputs[0] == "0123"
 
 
-class TestBarrier:
-    def test_barrier_synchronizes(self):
-        def prog(ctx):
-            # Rank 0 would race ahead without the barrier.
-            if ctx.rank != 0:
-                for _ in range(3):
-                    yield  # simulate slow machines
-            yield from barrier(ctx, "sync")
-            return ctx.round
-
-        result = run(prog)
-        # After the barrier everyone is within one round of each other
-        # (the release broadcast lands on all at once).
-        assert max(result.outputs) - min(result.outputs) == 0
-
-
-class TestScatter:
-    def test_each_machine_gets_its_slice(self):
-        def prog(ctx):
-            value = yield from scatter(
-                ctx, 0, "s", [f"part{i}" for i in range(ctx.k)] if ctx.rank == 0 else None
-            )
-            return value
-
-        result = run(prog)
-        assert result.outputs == ["part0", "part1", "part2", "part3"]
-
-    def test_scatter_requires_k_values_at_root(self):
-        def prog(ctx):
-            yield from scatter(ctx, 0, "s", [1] if ctx.rank == 0 else None)
-
-        with pytest.raises(Exception, match="k=4"):
-            run(prog)
-
-
 class TestComposition:
     def test_sequential_collectives_do_not_cross_talk(self):
         def prog(ctx):
-            first = yield from all_gather(ctx, "one", ctx.rank)
-            second = yield from all_gather(ctx, "two", ctx.rank * 2)
-            return (first, second)
+            first = yield from gather(ctx, 0, "one", ctx.rank)
+            second = yield from gather(ctx, 0, "two", ctx.rank * 2)
+            shared = yield from broadcast(ctx, 0, "three", (first, second))
+            return shared
 
         result = run(prog, k=3)
-        assert result.outputs[0] == ([0, 1, 2], [0, 2, 4])
+        assert result.outputs == [([0, 1, 2], [0, 2, 4])] * 3
 
     def test_k1_degenerate(self):
         def prog(ctx):

@@ -1,4 +1,4 @@
-"""Unit tests for the binomial-tree collectives."""
+"""Unit tests for the binomial-tree reduction."""
 
 from __future__ import annotations
 
@@ -7,53 +7,11 @@ import pytest
 from repro.kmachine import (
     CostModel,
     FunctionProgram,
-    Simulator,
+    broadcast,
+    gather,
     run_program,
-    tree_broadcast,
     tree_reduce,
 )
-
-
-class TestTreeBroadcast:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 13, 16, 32])
-    def test_everyone_receives(self, k):
-        def prog(ctx):
-            value = yield from tree_broadcast(ctx, 0, "tb", "hello" if ctx.rank == 0 else None)
-            return value
-
-        result = run_program(FunctionProgram(prog), k=k)
-        assert result.outputs == ["hello"] * k
-
-    @pytest.mark.parametrize("root", [0, 2, 6])
-    def test_nonzero_root(self, root):
-        def prog(ctx):
-            return (
-                yield from tree_broadcast(ctx, root, "tb", ctx.rank * 10 if ctx.rank == root else None)
-            )
-
-        result = run_program(FunctionProgram(prog), k=7)
-        assert result.outputs == [root * 10] * 7
-
-    def test_k_minus_1_messages_log_rounds(self):
-        def prog(ctx):
-            yield from tree_broadcast(ctx, 0, "tb", 1)
-            return None
-
-        result = run_program(FunctionProgram(prog), k=16)
-        assert result.metrics.messages == 15
-        assert result.metrics.rounds == 4  # ceil(log2 16)
-
-    def test_no_receiver_hotspot(self):
-        """At most one inbound message per machine per round."""
-        def prog(ctx):
-            yield from tree_broadcast(ctx, 0, "tb", 1)
-            return None
-
-        result = run_program(FunctionProgram(prog), k=32, observe="profile")
-        sim = Simulator(k=32, program=FunctionProgram(prog))
-        # Re-run with a network probe: max per-destination messages.
-        res = sim.run()
-        assert res.metrics.rounds == 5
 
 
 class TestTreeReduce:
@@ -94,7 +52,7 @@ class TestTreeReduce:
         """All machines stay round-aligned after the reduce."""
         def prog(ctx):
             total = yield from tree_reduce(ctx, 0, "tr", 1, lambda a, b: a + b)
-            value = yield from tree_broadcast(ctx, 0, "tb", total)
+            value = yield from broadcast(ctx, 0, "b", total)
             return value
 
         result = run_program(FunctionProgram(prog), k=12)
@@ -106,8 +64,6 @@ class TestGammaAdvantage:
         """The γ term: star gather lands k−1 messages on the root in
         one round; the tree never exceeds one per machine per round,
         so its modelled comm time is lower for pure-γ costs."""
-        from repro.kmachine import gather
-
         k = 64
         model = CostModel(alpha_seconds=0.0, beta_bits_per_second=0.0,
                           gamma_seconds_per_message=1e-3)

@@ -1,9 +1,7 @@
 """Property-based tests for the extension modules.
 
-Covers the distributed k-d tree partition (conservation + box
-containment under arbitrary point clouds), the session's batch program
-(every answer equals the oracle), and the moving-query monitor (exactness
-along arbitrary trajectories).
+Covers the session's batch program (every answer equals the oracle)
+and the moving-query monitor (exactness along arbitrary trajectories).
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kdtree_knn import build_partition, query_partition
 from repro.core.monitor import MovingKNNMonitor
 from repro.points.dataset import make_dataset
 from repro.sequential.brute import brute_force_knn_ids
@@ -32,41 +29,6 @@ def point_clouds(draw, min_points=4, max_points=40, max_dim=3):
     else:
         rows = [[draw(coords) for _ in range(dim)] for _ in range(n)]
     return np.array(rows, dtype=np.float64), dim
-
-
-class TestKDTreePartitionProperties:
-    @given(point_clouds(), st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**16))
-    @settings(max_examples=20)
-    def test_conservation_and_containment(self, cloud, k, seed):
-        points, dim = cloud
-        ds = make_dataset(points, seed=seed)
-        rng = np.random.default_rng(seed)
-        from repro.points.partition import shard_dataset
-
-        shards = shard_dataset(ds, k, rng)
-        inputs, _ = build_partition(shards, dim=dim, seed=seed)
-        all_ids = np.sort(np.concatenate([s.ids for s, _, _ in inputs]))
-        np.testing.assert_array_equal(all_ids, np.sort(ds.ids))
-        for shard, lo, hi in inputs:
-            if len(shard):
-                assert np.all(shard.points >= np.asarray(lo) - 1e-9)
-                assert np.all(shard.points <= np.asarray(hi) + 1e-9)
-
-    @given(point_clouds(min_points=6), st.sampled_from([2, 4]),
-           st.integers(1, 6), st.integers(0, 2**16))
-    @settings(max_examples=20)
-    def test_queries_exact_over_any_partition(self, cloud, k, l, seed):
-        points, dim = cloud
-        l = min(l, len(points))
-        ds = make_dataset(points, seed=seed)
-        rng = np.random.default_rng(seed)
-        from repro.points.partition import shard_dataset
-
-        shards = shard_dataset(ds, k, rng)
-        inputs, _ = build_partition(shards, dim=dim, seed=seed)
-        q = points[0] + 0.1
-        ids, _ = query_partition(inputs, q, l, seed=seed)
-        assert ids == sorted(brute_force_knn_ids(ds, q, l))
 
 
 class TestBatchProperties:

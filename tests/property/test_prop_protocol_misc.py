@@ -17,7 +17,6 @@ from repro.kmachine import (
     SizingPolicy,
     Simulator,
     run_program,
-    tree_broadcast,
     tree_reduce,
 )
 from repro.points.ids import keyed_array
@@ -59,21 +58,6 @@ class TestSizingProperties:
 
 
 class TestTreeCollectiveProperties:
-    @given(st.integers(1, 24), st.integers(0, 23), st.integers(-100, 100))
-    @settings(max_examples=25)
-    def test_broadcast_reaches_all(self, k, root, value):
-        root = root % k
-
-        def prog(ctx):
-            got = yield from tree_broadcast(
-                ctx, root, "tb", value if ctx.rank == root else None
-            )
-            return got
-
-        result = run_program(FunctionProgram(prog), k=k)
-        assert result.outputs == [value] * k
-        assert result.metrics.messages == k - 1
-
     @given(st.integers(1, 24), st.integers(0, 23), st.integers(0, 2**16))
     @settings(max_examples=25)
     def test_reduce_equals_python_sum(self, k, root, seed):

@@ -3,24 +3,20 @@
 Each protocol selects its answer among the machine's local candidates
 and maps the selected ids back to shard rows through the candidates'
 rows (:func:`repro.core.knn.knn_output`).  Hypothesis drives every
-``distributed_knn`` algorithm and the distributed k-d tree over
-duplicate-heavy clouds (ties straddling the ℓ-th distance), labelled
-and unlabelled data, ℓ at or above the shard size, and n < k (empty
-shards); each machine's ``points`` and ``labels`` must equal the
-dataset rows of its ``ids``.
+``distributed_knn`` algorithm over duplicate-heavy clouds (ties
+straddling the ℓ-th distance), labelled and unlabelled data, ℓ at or
+above the shard size, and n < k (empty shards); each machine's
+``points`` and ``labels`` must equal the dataset rows of its ``ids``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.driver import ALGORITHMS, distributed_knn
-from repro.core.kdtree_knn import KDTreeKNNQueryProgram, build_partition
-from repro.kmachine import Simulator
 from repro.points.dataset import Dataset, make_dataset
-from repro.points.partition import shard_dataset
 from repro.sequential.brute import brute_force_knn_ids
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -70,15 +66,3 @@ def test_distributed_knn_rows_are_dataset_rows(instance, algorithm):
     dataset, query, l, k, seed = instance
     result = distributed_knn(dataset, query, l, k, seed=seed, algorithm=algorithm)
     assert_rows_match(result.raw.outputs, dataset, query, l)
-
-
-@settings(max_examples=20)
-@given(instances(ks=(1, 2, 4, 8)))
-def test_kdtree_knn_rows_are_dataset_rows(instance):
-    dataset, query, l, k, seed = instance
-    shards = shard_dataset(dataset, k, np.random.default_rng(seed))
-    inputs, _ = build_partition(shards, dim=dataset.dim, seed=seed)
-    result = Simulator(
-        k=k, program=KDTreeKNNQueryProgram(query, l), inputs=inputs, seed=seed
-    ).run()
-    assert_rows_match(result.outputs, dataset, query, l)

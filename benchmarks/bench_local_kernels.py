@@ -10,7 +10,9 @@ inspectable, and double as performance regression guards for the
 vectorized implementations.  A served micro-batch prunes its queries
 in one block call per machine; the block benches time that at the
 serving scale (16 queries against a 2000×3 shard) beside the same
-queries scanned one by one.
+queries scanned one by one.  Builds are timed too: ``make_dataset`` at
+the one-shot scale (131,072×16, two id distinctness checks) and
+``KNNService`` construction at the serving scale (16,000×3, k=8, ℓ=16).
 """
 
 from __future__ import annotations
@@ -19,17 +21,21 @@ import numpy as np
 import pytest
 
 from repro.core.knn import local_candidates
-from repro.points.dataset import Shard
+from repro.points.dataset import Shard, make_dataset
 from repro.points.ids import keyed_array
 from repro.points.metrics import get_metric
 from repro.sequential.kdtree import KDTree
 from repro.sequential.selection import smallest_l
+from repro.serve import KNNService
 
 PPM = 2**16
 L = 1024
 K = 128
 #: serving scale: one micro-batch against one machine's shard
 SERVE_ROWS, SERVE_DIM, SERVE_BATCH, SERVE_L = 2000, 3, 16, 8
+#: build scales: the one-shot corpus and the served corpus
+ONESHOT_SHAPE = (131072, 16)
+SERVICE_SHAPE, SERVICE_K, SERVICE_L = (16000, 3), 8, 16
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +83,20 @@ def test_bench_scan_queries_as_block(benchmark, serve_batch):
         one_keys, one_rows = local_candidates(shard, q, SERVE_L, metric)
         assert keys.tobytes() == one_keys.tobytes()
         assert np.array_equal(rows, one_rows)
+
+
+def test_bench_make_dataset_oneshot_scale(benchmark):
+    """Draw and check the random ids of the one-shot corpus."""
+    corpus = np.random.default_rng(97).uniform(0, 1, ONESHOT_SHAPE)
+    dataset = benchmark(lambda: make_dataset(corpus, seed=1))
+    assert len(dataset) == ONESHOT_SHAPE[0]
+
+
+def test_bench_service_construction(benchmark):
+    """Build a service over the served corpus: ids, shards, session."""
+    corpus = np.random.default_rng(96).uniform(0, 1, SERVICE_SHAPE)
+    service = benchmark(lambda: KNNService(corpus, l=SERVICE_L, k=SERVICE_K, seed=1))
+    assert len(service.session.dataset) == SERVICE_SHAPE[0]
 
 
 def test_bench_simple_leader_merge(benchmark):

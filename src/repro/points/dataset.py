@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ids import draw_unique_ids
+from .ids import all_distinct, draw_unique_ids
 
 __all__ = ["Dataset", "Shard", "make_dataset"]
 
@@ -56,7 +56,7 @@ class Dataset:
             raise ValueError(
                 f"ids shape {self.ids.shape} does not match {len(self.points)} points"
             )
-        if np.unique(self.ids).size != self.ids.size:
+        if not all_distinct(self.ids):
             raise ValueError("point ids must be distinct")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
@@ -238,7 +238,7 @@ def _check_batch(
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape != (len(points),):
         raise ValueError(f"ids shape {ids.shape} for {len(points)} points")
-    if np.unique(ids).size != ids.size:
+    if not all_distinct(ids):
         raise ValueError("batch ids must be distinct")
     return points, ids, labels
 

@@ -13,6 +13,12 @@ module draws the IDs, verifies uniqueness (re-drawing on the rare
 collision, so the library is Las Vegas where the paper is content with
 w.h.p.), and defines the lexicographic ``(value, id)`` key used by
 every comparison in the selection protocols.
+
+Every distinctness check on ids goes through :func:`all_distinct`: one
+sort and one comparison of neighbours.  ``np.unique(ids).size`` gives
+the same answer, but numpy >= 2.3 runs it as a hash pass followed by a
+sort of the result, which on distinct random ids (the common case
+here) costs over ten times one sort from n = 16,000 up.
 """
 
 from __future__ import annotations
@@ -21,7 +27,15 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["draw_unique_ids", "id_space", "Keyed", "keyed_array", "MINUS_INF_KEY", "PLUS_INF_KEY"]
+__all__ = [
+    "all_distinct",
+    "draw_unique_ids",
+    "id_space",
+    "Keyed",
+    "keyed_array",
+    "MINUS_INF_KEY",
+    "PLUS_INF_KEY",
+]
 
 
 def id_space(n_total: int) -> int:
@@ -33,6 +47,12 @@ def id_space(n_total: int) -> int:
     at the cap is still below n²/2^62 ≤ 2^-22.
     """
     return min(max(int(n_total) ** 3, 1 << 20), 1 << 62)
+
+
+def all_distinct(values: np.ndarray) -> bool:
+    """True iff no two entries of the 1-D integer array ``values`` are equal."""
+    ordered = np.sort(values)
+    return not bool((ordered[1:] == ordered[:-1]).any())
 
 
 def draw_unique_ids(
@@ -65,7 +85,7 @@ def draw_unique_ids(
     hi = id_space(n_total if n_total is not None else count)
     for _ in range(max_redraws):
         ids = rng.integers(1, hi + 1, size=count, dtype=np.int64)
-        if np.unique(ids).size == count:
+        if all_distinct(ids):
             return ids
     # Astronomically unlikely; construct distinct IDs deterministically.
     base = rng.integers(1, hi - count, dtype=np.int64)

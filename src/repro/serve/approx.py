@@ -116,37 +116,40 @@ class RoutingTable:
             metric=metric,
         )
 
-    def lower_bounds(self, query: np.ndarray) -> np.ndarray:
-        """``(k,)`` — per-machine lower bound on its nearest point.
+    def lower_bounds(self, queries: np.ndarray) -> np.ndarray:
+        """``(k,)`` per-machine lower bounds on the nearest point to one
+        query ``(d,)``; ``(m, k)`` for a block of queries ``(m, d)``.
 
         For any point ``p`` of cluster ``c`` on machine ``r``,
         ``d(q, p) >= d(q, center_c) - radii[r, c]`` by the triangle
         inequality; minimising over the clusters machine ``r`` actually
         hosts gives a sound bound.  Machines hosting nothing get
-        ``inf`` — they can never beat any candidate.
+        ``inf`` — they can never beat any candidate.  A block costs one
+        kernel call, and its rows equal the single-query bounds bit
+        for bit.
         """
-        query = np.atleast_1d(np.asarray(query, dtype=np.float64))
-        d_centers = self.metric.distances(self.centers, query)  # (c,)
-        per_cluster = np.maximum(0.0, d_centers[None, :] - self.radii)  # (k, c)
+        queries = np.atleast_1d(np.asarray(queries, dtype=np.float64))
+        d_centers = self.metric.distances(self.centers, queries)  # (c,) or (m, c)
+        per_cluster = np.maximum(0.0, d_centers[..., None, :] - self.radii)  # (..., k, c)
         per_cluster = np.where(self.counts > 0, per_cluster, np.inf)
-        return np.min(per_cluster, axis=1)
+        return np.min(per_cluster, axis=-1)
 
-    def route(self, query: np.ndarray, fanout: int) -> np.ndarray:
-        """The ``fanout`` machines with the smallest lower bounds.
+    def route(self, bounds: np.ndarray, fanout: int) -> np.ndarray:
+        """The ``fanout`` machines with the smallest of one query's
+        :meth:`lower_bounds`.
 
         Ties break toward lower ranks (stable sort), so routing is
         deterministic.  Machines holding no points are never routed to.
         """
         if fanout < 1:
             raise ValueError("fanout must be >= 1")
-        bounds = self.lower_bounds(query)
         order = np.argsort(bounds, kind="stable")
         populated = order[np.isfinite(bounds[order])]
         return populated[:fanout].astype(np.int64)
 
     def certify(
         self,
-        query: np.ndarray,
+        bounds: np.ndarray,
         routed: Sequence[int],
         worst_distance: float,
         *,
@@ -155,11 +158,11 @@ class RoutingTable:
         """Is the routed answer provably exact?
 
         True iff every live machine *not* consulted has a lower bound
-        at least ``worst_distance`` (the routed answer's ℓ-th
-        distance) — then no skipped machine can contribute a closer
-        point, so the approximate answer equals the exact one.
+        (one query's :meth:`lower_bounds`) at least ``worst_distance``
+        (the routed answer's ℓ-th distance) — then no skipped machine
+        can contribute a closer point, so the approximate answer
+        equals the exact one.
         """
-        bounds = self.lower_bounds(query)
         routed_set = set(int(r) for r in routed)
         ranks = range(self.k) if live is None else live
         return all(

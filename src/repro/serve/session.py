@@ -102,6 +102,11 @@ class QueryJob:
     threshold: Keyed | None = None
 
 
+def _query_block(jobs: Sequence[QueryJob]) -> np.ndarray:
+    """The jobs' query points as one ``(m, d)`` float64 block."""
+    return np.stack([np.atleast_1d(np.asarray(job.query, dtype=np.float64)) for job in jobs])
+
+
 @dataclass
 class SessionAnswer:
     """One query's assembled global answer plus serving accounting."""
@@ -211,9 +216,7 @@ class ServeBatchProgram(Program):
         with ctx.obs.span(tag("serve", "batch", self.batch_index)):
             # Stage 2 for the whole batch: one block call per machine.
             with ctx.obs.span("local-prune"):
-                block = np.stack(
-                    [np.atleast_1d(np.asarray(job.query, dtype=np.float64)) for job in self.jobs]
-                )
+                block = _query_block(self.jobs)
                 pruned = local_candidates(ctx.local, block, self.l, self.metric)
             pending: list[Generator[None, None, KNNOutput] | None] = [
                 knn_subroutine(
@@ -529,7 +532,8 @@ class ClusterSession:
         jobs = list(jobs)
         if not jobs:
             return []
-        targets = [self.routing.route(job.query, fanout) for job in jobs]
+        bounds = self.routing.lower_bounds(_query_block(jobs))
+        targets = [self.routing.route(row, fanout) for row in bounds]
         rec = self._sim.span_recorder
         dispatch_span = (
             rec.open(tag("serve", "dispatch", self.batches), SCHEDULER_RANK)
@@ -552,12 +556,12 @@ class ClusterSession:
         merged = result.outputs[self.leader]
         live = [r for r in range(self.k) if r not in self.quarantined]
         answers: list[SessionAnswer] = []
-        for job, routed, approx, messages in zip(
-            jobs, targets, merged, message_counts
+        for job, row, routed, approx, messages in zip(
+            jobs, bounds, targets, merged, message_counts
         ):
             full = len(approx.ids) == self.l
             certified = full and self.routing.certify(
-                job.query,
+                row,
                 routed,
                 float(approx.distances[-1]),
                 live=live,

@@ -54,16 +54,29 @@ class TestRoutingTable:
                 )
                 assert bounds[rank] <= actual + 1e-9
 
+    def test_block_bounds_equal_single_query_bounds(
+        self, clustered: ClusterSession
+    ) -> None:
+        """A batch's bounds come from one block call; each row must be
+        the single-query bound bit for bit, so routing and certificates
+        do not depend on how queries were batched."""
+        queries = np.random.default_rng(1).uniform(0.0, 1.0, (9, 3))
+        block = clustered.routing.lower_bounds(queries)
+        assert block.shape == (9, clustered.routing.k)
+        for query, row in zip(queries, block):
+            assert row.tobytes() == clustered.routing.lower_bounds(query).tobytes()
+
     def test_route_is_deterministic_and_bounded(
         self, clustered: ClusterSession
     ) -> None:
-        query = np.array([0.5, 0.5, 0.5])
-        a = clustered.routing.route(query, 2)
-        b = clustered.routing.route(query, 2)
+        bounds = clustered.routing.lower_bounds(np.array([0.5, 0.5, 0.5]))
+        a = clustered.routing.route(bounds, 2)
+        b = clustered.routing.route(bounds, 2)
         assert np.array_equal(a, b)
         assert len(a) <= 2
+        assert np.all(bounds[a] <= np.min(np.delete(bounds, a)))
         with pytest.raises(ValueError):
-            clustered.routing.route(query, 0)
+            clustered.routing.route(bounds, 0)
 
     def test_counts_partition_the_corpus(
         self, clustered: ClusterSession

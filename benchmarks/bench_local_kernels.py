@@ -11,8 +11,11 @@ vectorized implementations.  A served micro-batch prunes its queries
 in one block call per machine; the block benches time that at the
 serving scale (16 queries against a 2000×3 shard) beside the same
 queries scanned one by one.  Builds are timed too: ``make_dataset`` at
-the one-shot scale (131,072×16, two id distinctness checks) and
+the one-shot scale (131,072×16, one id distinctness check) and
 ``KNNService`` construction at the serving scale (16,000×3, k=8, ℓ=16).
+The one-shot case times the local work of one ``distributed_knn`` call
+at that scale: ``shard_dataset`` into k=16 shards, then every shard's
+ℓ=64 scan.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.core.knn import local_candidates
 from repro.points.dataset import Shard, make_dataset
 from repro.points.ids import keyed_array
 from repro.points.metrics import get_metric
+from repro.points.partition import shard_dataset
 from repro.sequential.kdtree import KDTree
 from repro.sequential.selection import smallest_l
 from repro.serve import KNNService
@@ -35,6 +39,7 @@ K = 128
 SERVE_ROWS, SERVE_DIM, SERVE_BATCH, SERVE_L = 2000, 3, 16, 8
 #: build scales: the one-shot corpus and the served corpus
 ONESHOT_SHAPE = (131072, 16)
+ONESHOT_K, ONESHOT_L = 16, 64
 SERVICE_SHAPE, SERVICE_K, SERVICE_L = (16000, 3), 8, 16
 
 
@@ -90,6 +95,21 @@ def test_bench_make_dataset_oneshot_scale(benchmark):
     corpus = np.random.default_rng(97).uniform(0, 1, ONESHOT_SHAPE)
     dataset = benchmark(lambda: make_dataset(corpus, seed=1))
     assert len(dataset) == ONESHOT_SHAPE[0]
+
+
+def test_bench_oneshot_shard_and_scan(benchmark):
+    """One one-shot query's local work: shard the corpus, scan every shard."""
+    rng = np.random.default_rng(95)
+    dataset = make_dataset(rng.uniform(0, 1, ONESHOT_SHAPE), seed=1)
+    query = rng.uniform(0, 1, ONESHOT_SHAPE[1])
+    metric = get_metric("euclidean")
+
+    def shard_and_scan():
+        shards = shard_dataset(dataset, ONESHOT_K, np.random.default_rng(2))
+        return [local_candidates(s, query, ONESHOT_L, metric) for s in shards]
+
+    pairs = benchmark(shard_and_scan)
+    assert [len(keys) for keys, _ in pairs] == [ONESHOT_L] * ONESHOT_K
 
 
 def test_bench_service_construction(benchmark):

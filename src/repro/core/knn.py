@@ -114,6 +114,12 @@ __all__ = [
 _KEY_DTYPE = [("value", "f8"), ("id", "i8")]
 _ID_MIN, _ID_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
+#: Bytes of coordinates one scan block gathers from a shard that still
+#: refers to its dataset (128 KiB): the block and the kernel's
+#: difference temporary stay in L2.  256 KiB scanned no faster, and
+#: 1 MiB blocks scanned about 3x slower (fresh pages on every call).
+_SCAN_BLOCK_BYTES = 1 << 17
+
 
 @dataclass
 class KNNOutput:
@@ -175,7 +181,12 @@ def local_candidates(
     ``queries`` is one query (shape ``(d,)``) or a block ``(m, d)``;
     the block shares one distance-kernel call, one row-wise
     ``np.argpartition`` and one row-wise ``np.lexsort`` of the
-    ℓ-prefixes.  Per query the result is ``(keys, rows)``: ``keys`` is
+    ℓ-prefixes.  A shard that has not gathered its rows is scanned in
+    place: :meth:`~repro.points.dataset.Shard.row_blocks` gathers
+    ``_SCAN_BLOCK_BYTES`` of rows at a time into one reused buffer and
+    the metric scans each block, so every distance is bit-identical to
+    a scan of the gathered shard.  Per query the result is
+    ``(keys, rows)``: ``keys`` is
     a structured ``(value, id)`` array of at most ℓ entries ascending
     by (value, id), and ``rows[i]`` is the shard row of ``keys[i]``.
     Every protocol selects its answer among these keys, so
@@ -189,7 +200,7 @@ def local_candidates(
         m = 1 if single else len(queries)
         pairs = [(np.empty(0, dtype=_KEY_DTYPE), np.empty(0, dtype=np.intp))] * m
         return pairs[0] if single else pairs
-    dists = np.atleast_2d(metric.distances(shard.points, queries))
+    dists = _scan(shard, queries, metric)
     m = len(dists)
     at = np.arange(m)[:, None]  # row index for per-row gathers
     if 0 < l < n:
@@ -221,6 +232,16 @@ def local_candidates(
     return (keys[0], rows[0]) if single else list(zip(keys, rows))
 
 
+def _scan(shard: Shard, queries: np.ndarray, metric: Metric) -> np.ndarray:
+    """Distances from each query to every shard row, shape ``(m, n)``."""
+    if shard.rows is None:
+        return np.atleast_2d(metric.distances(shard.points, queries))
+    dists = np.empty((1 if np.ndim(queries) < 2 else len(queries), len(shard)))
+    for lo, block in shard.row_blocks(_SCAN_BLOCK_BYTES):
+        dists[:, lo : lo + len(block)] = metric.distances(block, queries)
+    return dists
+
+
 def knn_output(
     shard: Shard,
     candidates: np.ndarray,
@@ -245,7 +266,7 @@ def knn_output(
     return KNNOutput(
         ids=ids,
         distances=selected["value"].copy(),
-        points=shard.points[pos],
+        points=shard.points_at(pos),
         labels=None if shard.labels is None else shard.labels[pos],
         boundary=boundary,
         is_leader=is_leader,

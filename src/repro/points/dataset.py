@@ -7,15 +7,26 @@ after partitioning — the model's "each machine has O(n/k) points,
 adversarially distributed".  Shards carry the same arrays restricted
 to the machine's rows, so the global point with ID ``i`` is
 recoverable from whichever machine owns it once a protocol outputs IDs.
-Shards never alias their dataset; the shards of one
-:func:`~repro.points.partition.shard_dataset` call are read-only row
-slices of one shared copy.
+
+Ownership.  :meth:`Dataset.take` copies a shard's ``ids`` and
+``labels`` at once (they are small) but not its coordinates: the shard
+keeps the row indices ``rows`` into the dataset's point array and
+gathers its own copy only when something asks for :attr:`Shard.points`
+(or pickles it, or mutates it).  The local scan never asks: it gathers
+cache-sized blocks into one reused buffer
+(:meth:`Shard.row_blocks`), so a one-shot query reads each row once
+and allocates no copy of the corpus.  Such a shard borrows the
+dataset's buffer, so it must not outlive it: a one-shot driver's shards
+live for one call, and long-lived holders
+(:class:`~repro.serve.session.ClusterSession`) call
+:meth:`Shard.gather` once, in setup.  Either way a shard never aliases
+its dataset: gathered arrays are fresh copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import KW_ONLY, InitVar, dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,13 +50,19 @@ class Dataset:
     labels:
         Optional per-point labels (any 1-D array) for the
         classification / regression application layer.
+    ids_distinct:
+        Init-only: the caller has already proved ``ids`` distinct, so
+        the check is skipped.  Only :func:`make_dataset` sets it, for
+        the ids :func:`~repro.points.ids.draw_unique_ids` drew.
     """
 
     points: np.ndarray
     ids: np.ndarray
     labels: np.ndarray | None = None
+    _: KW_ONLY
+    ids_distinct: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, ids_distinct: bool) -> None:
         self.points = np.asarray(self.points, dtype=np.float64)
         if self.points.ndim == 1:
             self.points = self.points[:, None]
@@ -56,7 +73,7 @@ class Dataset:
             raise ValueError(
                 f"ids shape {self.ids.shape} does not match {len(self.points)} points"
             )
-        if not all_distinct(self.ids):
+        if not ids_distinct and not all_distinct(self.ids):
             raise ValueError("point ids must be distinct")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
@@ -74,19 +91,19 @@ class Dataset:
         return self.points.shape[1]
 
     def take(self, indices: np.ndarray) -> "Shard":
-        """Build a shard from a copy of the integer row ``indices``.
+        """Build a shard of the integer row ``indices``.
 
-        The selected rows are copied (``np.take`` along axis 0, much
-        faster than 2-D fancy indexing), so the shard never aliases the
-        dataset; untouched rows are not read.
-        :func:`~repro.points.partition.shard_dataset` calls this once
-        per sharding, over all machines' index sets, and slices the
-        result.
+        ``ids`` and ``labels`` are copied now (``np.take``); the
+        coordinates stay in this dataset's point array until the shard
+        gathers them (see the module docstring), so untouched rows are
+        never read and no coordinate is copied before it is needed.
         """
+        rows = np.asarray(indices, dtype=np.intp)
         return Shard(
-            points=np.take(self.points, indices, axis=0),
-            ids=np.take(self.ids, indices),
-            labels=None if self.labels is None else np.take(self.labels, indices, axis=0),
+            points=self.points,
+            ids=np.take(self.ids, rows),
+            labels=None if self.labels is None else np.take(self.labels, rows, axis=0),
+            rows=rows,
         )
 
     def label_of(self, point_id: int) -> object:
@@ -141,7 +158,6 @@ class Dataset:
         return removed
 
 
-@dataclass
 class Shard:
     """One machine's local slice of a :class:`Dataset`.
 
@@ -151,40 +167,110 @@ class Shard:
     The dynamic-data layer (:mod:`repro.dyn`) mutates shards between
     query episodes through :meth:`add_points` / :meth:`remove_ids`.
 
+    One representation, two states.  A shard built from arrays, or
+    after :meth:`gather`, owns its ``(n_i, d)`` coordinates and has
+    ``rows is None``.  A shard from :meth:`Dataset.take` instead holds
+    ``rows``, indices into its dataset's point array, until the first
+    access to :attr:`points` (or :meth:`gather`, a pickle or a
+    mutation) copies them; :meth:`row_blocks` and :meth:`points_at`
+    read the rows without that copy.  A shard pickles as its own rows
+    only, never its dataset's array.
+
     Shards made by :func:`~repro.points.partition.shard_dataset` are
-    read-only row slices of one buffer shared with their siblings, so
-    their arrays must never be written in place (numpy raises if they
-    are).  The two mutators never do: they rebind ``points``, ``ids``
-    and ``labels`` to fresh arrays.
+    :meth:`freeze`-d: their arrays are read-only (numpy raises on an
+    in-place write), so a stray write cannot change what a later scan
+    of the same shard sees.  The two mutators never write in place:
+    they rebind ``points``, ``ids`` and ``labels`` to fresh arrays.
     """
 
-    points: np.ndarray
-    ids: np.ndarray
-    labels: np.ndarray | None = None
-    #: scratch attribute letting experiments attach metadata
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim == 1:
-            self.points = self.points[:, None]
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.ids.shape != (len(self.points),):
+    def __init__(
+        self,
+        points: np.ndarray,
+        ids: np.ndarray,
+        labels: np.ndarray | None = None,
+        meta: dict | None = None,
+        *,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        #: row indices into ``points`` while not gathered, else ``None``
+        self.rows = rows
+        if rows is None:
+            points = np.asarray(points, dtype=np.float64)
+            if points.ndim == 1:
+                points = points[:, None]
+        self._points = points
+        self._writeable = True
+        self.ids = np.asarray(ids, dtype=np.int64)
+        if self.ids.shape != (len(self),):
             raise ValueError("shard ids/points length mismatch")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels)
-            if len(self.labels) != len(self.points):
-                raise ValueError(
-                    f"{len(self.labels)} labels for {len(self.points)} points"
-                )
+        if labels is not None:
+            labels = np.asarray(labels)
+            if len(labels) != len(self):
+                raise ValueError(f"{len(labels)} labels for {len(self)} points")
+        self.labels = labels
+        #: scratch attribute letting experiments attach metadata
+        self.meta = {} if meta is None else meta
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._points) if self.rows is None else len(self.rows)
 
     @property
     def dim(self) -> int:
         """Point dimensionality ``d``."""
-        return self.points.shape[1]
+        return self._points.shape[1]
+
+    @property
+    def points(self) -> np.ndarray:
+        """The ``(n_i, d)`` coordinates, gathered on first access."""
+        self.gather()
+        return self._points
+
+    def gather(self) -> None:
+        """Copy this shard's rows out of its dataset (no-op once gathered)."""
+        if self.rows is not None:
+            gathered = np.take(self._points, self.rows, axis=0)
+            gathered.setflags(write=self._writeable)
+            self._points, self.rows = gathered, None
+
+    def freeze(self) -> None:
+        """Mark every array read-only, including a later gather's copy."""
+        self._writeable = False
+        for array in (self.ids, self.labels, None if self.rows is not None else self._points):
+            if array is not None:
+                array.setflags(write=False)
+
+    def points_at(self, pos: np.ndarray) -> np.ndarray:
+        """A copy of the coordinates of local rows ``pos``, gathering only those."""
+        if self.rows is None:
+            return self._points[pos]
+        return np.take(self._points, self.rows[pos], axis=0)
+
+    def row_blocks(self, nbytes: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(lo, block)``: the coordinates of rows ``lo, lo + 1, ...``.
+
+        For a shard that has not gathered (``rows`` is set).  Each
+        block is about ``nbytes`` of rows gathered into one reused
+        buffer, so a block is valid only until the next one is drawn.
+        """
+        n, dim = len(self.rows), self.dim
+        step = max(1, nbytes // (8 * max(1, dim)))
+        buf = np.empty((min(step, n), dim))
+        for lo in range(0, n, step):
+            block = buf[: min(step, n - lo)]
+            # ``rows`` were bounds-checked by the ids take in
+            # :meth:`Dataset.take`; mode="clip" writes straight into
+            # ``out`` (the default mode="raise" buffers it).
+            self._points.take(self.rows[lo : lo + step], axis=0, out=block, mode="clip")
+            yield lo, block
+
+    def __getstate__(self) -> dict:
+        self.gather()  # ship this shard's rows, not the dataset's array
+        return self.__dict__
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if not self._writeable:
+            self.freeze()
 
     def add_points(
         self,
@@ -204,7 +290,7 @@ class Shard:
             raise ValueError("insert ids collide with shard's existing ids")
         if (labels is None) != (self.labels is None):
             raise ValueError("labels must be supplied iff the shard is labelled")
-        self.points = np.concatenate([self.points, points])
+        self._points = np.concatenate([self.points, points])
         self.ids = np.concatenate([self.ids, ids])
         if self.labels is not None:
             self.labels = np.concatenate([self.labels, labels])
@@ -220,7 +306,7 @@ class Shard:
         removed = int(mask.sum())
         if removed:
             keep = ~mask
-            self.points = self.points[keep]
+            self._points = self.points[keep]
             self.ids = self.ids[keep]
             if self.labels is not None:
                 self.labels = self.labels[keep]
@@ -272,7 +358,8 @@ def make_dataset(
     """Wrap raw points (and optional labels) into a :class:`Dataset`.
 
     Assigns the paper's random unique IDs using ``rng`` (or a fresh
-    generator from ``seed``).
+    generator from ``seed``).  :func:`~repro.points.ids.draw_unique_ids`
+    already checks them, so the dataset does not check them again.
     """
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
@@ -280,4 +367,5 @@ def make_dataset(
     generator = rng if rng is not None else np.random.default_rng(seed)
     ids = draw_unique_ids(generator, len(arr), n_total=len(arr))
     return Dataset(points=arr, ids=ids,
-                   labels=None if labels is None else np.asarray(labels))
+                   labels=None if labels is None else np.asarray(labels),
+                   ids_distinct=True)

@@ -24,13 +24,16 @@ placements:
 
 All partitioners return a list of ``k`` index arrays into the dataset;
 :func:`shard_dataset` applies one to a :class:`~repro.points.dataset.
-Dataset` with a single gather, handing out shards as read-only row
-slices of it.
+Dataset` and hands out read-only shards that copy their ids and labels
+but keep only row indices into the dataset's points.  Nothing copies
+the coordinates up front: a shard's local scan gathers its rows block
+by block, and a holder that keeps shards past the call (the serving
+session) gathers them once, so no shard outlives the buffer it borrows
+(see :mod:`repro.points.dataset`).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -199,13 +202,14 @@ def shard_dataset(
     sort order is distance-to-query (otherwise first-coordinate order
     is used).
 
-    One :meth:`Dataset.take` gathers every index set at once, and shard
-    ``i`` is the ``i``-th contiguous row slice of that single fresh
-    copy: the shards never alias the dataset, but siblings share one
-    buffer.  The buffer is marked read-only, so an in-place write
-    raises instead of changing another machine's rows;
-    :meth:`Shard.add_points` and :meth:`Shard.remove_ids` rebind the
-    arrays and stay free to use.
+    Shard ``i`` is ``dataset.take(index_sets[i])``, frozen: its arrays
+    are read-only, so an in-place write raises instead of changing what
+    a later scan sees, and :meth:`Shard.add_points` /
+    :meth:`Shard.remove_ids` rebind the arrays and stay free to use.
+    The shards copy ids and labels but refer to the dataset's points
+    by row index until they gather (see :mod:`repro.points.dataset`):
+    a caller that keeps them while the points buffer may be written in
+    place must :meth:`Shard.gather` them first.
     """
     fn = get_partitioner(partitioner) if isinstance(partitioner, str) else partitioner
     if fn is partition_sorted_adversarial:
@@ -217,16 +221,7 @@ def shard_dataset(
         index_sets = fn(len(dataset), k, rng, order=order, **kwargs)
     else:
         index_sets = fn(len(dataset), k, rng, **kwargs)
-    whole = dataset.take(np.concatenate(index_sets))
-    for array in (whole.points, whole.ids, whole.labels):
-        if array is not None:
-            array.setflags(write=False)
-    bounds = [0, *accumulate(len(indices) for indices in index_sets)]
-    return [
-        Shard(
-            points=whole.points[lo:hi],
-            ids=whole.ids[lo:hi],
-            labels=None if whole.labels is None else whole.labels[lo:hi],
-        )
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    shards = [dataset.take(indices) for indices in index_sets]
+    for shard in shards:
+        shard.freeze()
+    return shards

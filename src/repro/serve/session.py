@@ -346,6 +346,11 @@ class ClusterSession:
             )
         else:
             shards = shard_dataset(self.dataset, k, rng, partitioner)
+        # Every batch scans these shards and dyn/ mutates them, so they
+        # gather their rows once, here: no batch pays a gather, and no
+        # shard reads the caller's corpus buffer after construction.
+        for shard in shards:
+            shard.gather()
         # A persistent TCP cluster stays resident across episodes exactly
         # like the simulator's retained contexts.
         self._sim = build_executor(
